@@ -31,7 +31,7 @@ print("loaded filter selects", F.size(), "congruences\n")
 # topos-lsc group demos/data/d4.group
 G = io.load_group(DATA / "d4.group")
 print("# topos-lsc group demos/data/d4.group")
-report = group_report(G)
+report = group_report(G, build_lsc(G.site()))
 print(render(report, "human").split("normalization_arrows")[0])
 
 # topos-lsc words --dfa demos/data/abstar.dfa

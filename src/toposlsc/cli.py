@@ -65,16 +65,23 @@ def _format(args):
 
 
 def _budget(args):
+    """The enumeration cap: --budget, else $TOPOS_LSC_BUDGET, else the default.
+    A cap below 1 can never be met, so it is malformed input."""
     given = getattr(args, "budget", None)
     if given is not None:
-        return given
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
+        source, budget = "--budget", given
+    else:
+        env = os.environ.get(BUDGET_ENV)
+        if env is None:
+            return DEFAULT_BUDGET
+        source = BUDGET_ENV
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise InputFormatError(f"{BUDGET_ENV}={env!r} is not an integer") from None
-    return DEFAULT_BUDGET
+    if budget < 1:
+        raise InputFormatError(f"budget {budget} (from {source}) is below 1")
+    return budget
 
 
 def _cmd_lsc(args, out):

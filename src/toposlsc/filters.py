@@ -14,6 +14,7 @@ from .certificates import Certificate
 from .errors import (
     MissingTop,
     NotMeetClosed,
+    ObjectMismatch,
     NotSubpresheaf,
     NotUpwardClosed,
     SiteMismatch,
@@ -32,6 +33,16 @@ from .lsc import xi_component
 from .normalize import normalization_operator
 
 
+def _check_keyed(selection):
+    """Raise ObjectMismatch if a congruence is selected at another object
+    than the one it lives at."""
+    for c, qs in selection.items():
+        for q in qs:
+            if q.base_object != c:
+                raise ObjectMismatch(
+                    f"{q!r} lives at {q.base_object!r} but is selected at {c!r}")
+
+
 class InternalFilter:
     """A per-object selection of congruences.  Construction does not
     validate; use `validate_filter` for a checked instance."""
@@ -48,12 +59,11 @@ class InternalFilter:
 
     def subpresheaf_violation(self):
         """(q, f) with q selected but q.f not, or None."""
-        cat = self.lsc.site
-        for name, s, d in cat.morphisms:
-            for q in self.selection[d]:
-                if q.precompose(name) not in self.selection[s]:
-                    return (q, name)
-        return None
+        L = self.lsc
+        _check_keyed(self.selection)
+        return next(((q, name) for name, s, d in L.site.morphisms
+                     for q in self.selection[d]
+                     if L.act(q, name) not in self.selection[s]), None)
 
     def as_presheaf(self):
         """The selection as a subpresheaf of Xi (requires action-closure)."""
@@ -64,7 +74,7 @@ class InternalFilter:
         cat = self.lsc.site
         carrier = {c: tuple(q for q in self.lsc.elements(c) if q in self.selection[c])
                    for c in cat.objects}
-        action = {name: {q: q.precompose(name) for q in carrier[d]}
+        action = {name: {q: self.lsc.act(q, name) for q in carrier[d]}
                   for name, s, d in cat.morphisms}
         return Presheaf(cat, carrier, action, check=False)
 
@@ -141,12 +151,13 @@ def filter_generated_by(L, seeds):
             selection[c].update(qs)
         else:
             selection[c].add(qs)
+    _check_keyed(selection)
     changed = True
     while changed:
         changed = False
         for name, s, d in cat.morphisms:
             for q in list(selection[d]):
-                q2 = q.precompose(name)
+                q2 = L.act(q, name)
                 if q2 not in selection[s]:
                     selection[s].add(q2)
                     changed = True
@@ -225,129 +236,98 @@ def certify_quotient_classifier(F, samples=None, *, mono_limit=64):
                           sampled equalizers.
     """
     cert = Certificate("quotient-classifier")
-    L = F.lsc
-    cat = L.site
+    cat = F.lsc.site
 
     # (a) the filter lives in its own subcategory
-    bad = F.subpresheaf_violation()
-    if bad is not None:
-        cert.record("F-in-EF", False, bad)
-    else:
-        op = normalization_operator(L)
-        witness = None
-        for c in cat.objects:
-            for q in sorted(F.selection[c], key=lambda q: q.sort_key()):
-                if not F.contains(c, op.components[c][q]):
-                    witness = q
-                    break
-            if witness is not None:
-                break
-        cert.record("F-in-EF", witness is None, witness)
+    cert.check("F-in-EF", _self_membership_counterexamples(F))
 
     # sample pool: provided samples, their pairwise coproducts, defaults
     pool = list(samples) if samples is not None else _default_samples(F)
     if len(pool) >= 2:
         P, _, _ = coproduct(pool[0], pool[1])
         pool.append(P)
-    members = [X for X in pool if in_subcategory(F, X).member]
+    memberships = [(X, in_subcategory(F, X)) for X in pool]
+    members = [(X, m.lift.components) for X, m in memberships if m.member]
 
     # (b) cocone property along injective morphisms between members
-    witness = None
-    checked = 0
-    for Z in members:
-        xi_z = xi_component(L, Z)
-        for Zp in members:
-            xi_zp = xi_component(L, Zp)
-            for m in enumerate_morphisms(Z, Zp, injective_only=True,
-                                         limit=mono_limit):
-                checked += 1
-                for c in cat.objects:
-                    for x in Z.elements(c):
-                        if xi_zp.components[c][m.components[c][x]] != xi_z.components[c][x]:
-                            witness = (c, x, m)
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    cert.record("cocone", witness is None,
-                witness if witness is not None else f"{checked} injective maps checked")
+    maps = 0
+
+    def cocone_counterexamples():
+        nonlocal maps
+        for Z, xi_z in members:
+            for Zp, xi_zp in members:
+                for m in enumerate_morphisms(Z, Zp, injective_only=True,
+                                             limit=mono_limit):
+                    maps += 1
+                    yield from ((c, x, m) for c in cat.objects for x in Z.elements(c)
+                                if xi_zp[c][m.components[c][x]] != xi_z[c][x])
+
+    cert.check("cocone", cocone_counterexamples(),
+               on_pass=lambda: f"{maps} injective maps checked")
 
     # (c) joint surjectivity through representable quotients
-    witness = None
-    for c in cat.objects:
-        for q in sorted(F.selection[c], key=lambda q: q.sort_key()):
-            Q = quotient_of_representable(q)
-            membership = in_subcategory(F, Q)
-            if not membership.member:
-                witness = (c, q, "quotient not a member", membership.witness)
-                break
-            base = q.block_members(cat.identity(c))
-            hit = xi_component(L, Q).components[c][base]
-            if hit != q:
-                witness = (c, q, "identity class classifies to", hit)
-                break
-        if witness:
-            break
-    cert.record("joint-surjectivity", witness is None, witness)
+    cert.check("joint-surjectivity", _surjectivity_counterexamples(F))
 
     # (d) comonad sanity: idempotent, monic counit, lex on samples
-    witness = None
+    cert.check("comonad", _comonad_counterexamples(F, pool))
+    return cert
+
+
+def _self_membership_counterexamples(F):
+    bad = F.subpresheaf_violation()
+    if bad is not None:
+        yield bad
+        return
+    op = normalization_operator(F.lsc)
+    for c in F.lsc.site.objects:
+        yield from (q for q in sorted(F.selection[c], key=lambda q: q.sort_key())
+                    if not F.contains(c, op.components[c][q]))
+
+
+def _surjectivity_counterexamples(F):
+    cat = F.lsc.site
+    for c in cat.objects:
+        for q in sorted(F.selection[c], key=lambda q: q.sort_key()):
+            membership = in_subcategory(F, quotient_of_representable(q))
+            if not membership.member:
+                yield (c, q, "quotient not a member", membership.witness)
+                continue
+            hit = membership.lift.components[c][q.block_members(cat.identity(c))]
+            if hit != q:
+                yield (c, q, "identity class classifies to", hit)
+
+
+def _comonad_counterexamples(F, pool):
+    """Stages in order: counit monic and G idempotent per sample, terminal
+    preserved, binary products of neighbours, equalizers among the first
+    three samples."""
+    cat = F.lsc.site
     images = []
     for X in pool:
         GX, counit = comonad_apply(F, X)
         images.append(GX)
         if not counit.is_mono():
-            witness = ("counit not monic", X)
-            break
-        GGX, _ = comonad_apply(F, GX)
-        if GGX.carrier != GX.carrier:
-            witness = ("G not idempotent", X)
-            break
-    if witness is None:
-        T = terminal(cat)
-        GT, _ = comonad_apply(F, T)
-        if GT.carrier != T.carrier:
-            witness = ("G does not preserve the terminal object",)
-    if witness is None:
-        for X, Y in zip(pool, pool[1:]):
-            P = product(cat, [X, Y])
-            GP, _ = comonad_apply(F, P)
-            GX, _ = comonad_apply(F, X)
-            GY, _ = comonad_apply(F, Y)
-            expected = {c: tuple(p for p in P.elements(c)
-                                 if p[0] in set(GX.elements(c))
-                                 and p[1] in set(GY.elements(c)))
-                        for c in cat.objects}
-            if GP.carrier != expected:
-                witness = ("G does not preserve a binary product", X, Y)
-                break
-    if witness is None:
-        for X in pool[:3]:
-            for Y in pool[:3]:
-                fs = enumerate_morphisms(X, Y, limit=4)
-                for f in fs:
-                    for g in fs:
-                        E, _ = equalizer(f, g)
-                        GE, _ = comonad_apply(F, E)
-                        GX, _ = comonad_apply(F, X)
-                        kept = set()
-                        for c in cat.objects:
-                            kept |= {(c, x) for x in GX.elements(c)
-                                     if f.components[c][x] == g.components[c][x]}
-                        got = {(c, x) for c in cat.objects for x in GE.elements(c)}
-                        if got != kept:
-                            witness = ("G does not preserve an equalizer", f, g)
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    cert.record("comonad", witness is None, witness)
-    return cert
+            yield ("counit not monic", X)
+        if comonad_apply(F, GX)[0].carrier != GX.carrier:
+            yield ("G not idempotent", X)
+    T = terminal(cat)
+    if comonad_apply(F, T)[0].carrier != T.carrier:
+        yield ("G does not preserve the terminal object",)
+    kept = [{c: set(GX.elements(c)) for c in cat.objects} for GX in images]
+    for i, (X, Y) in enumerate(zip(pool, pool[1:])):
+        P = product(cat, [X, Y])
+        expected = {c: tuple(p for p in P.elements(c)
+                             if p[0] in kept[i][c] and p[1] in kept[i + 1][c])
+                    for c in cat.objects}
+        if comonad_apply(F, P)[0].carrier != expected:
+            yield ("G does not preserve a binary product", X, Y)
+    for GX, X in zip(images, pool[:3]):
+        for Y in pool[:3]:
+            fs = enumerate_morphisms(X, Y, limit=4)
+            for f in fs:
+                for g in fs:
+                    GE = comonad_apply(F, equalizer(f, g)[0])[0]
+                    agree = {(c, x) for c in cat.objects for x in GX.elements(c)
+                             if f.components[c][x] == g.components[c][x]}
+                    if {(c, x) for c in cat.objects for x in GE.elements(c)} != agree:
+                        yield ("G does not preserve an equalizer", f, g)

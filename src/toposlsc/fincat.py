@@ -91,17 +91,11 @@ class FiniteCategory:
     def identity(self, c):
         return self.identities[c]
 
-    def is_identity(self, m):
-        return self.identities.get(self.src[m]) == m and self.src[m] == self.dst[m]
-
     def morphisms_into(self, c):
         """All morphisms with target c: the total carrier of y(c)."""
         if c not in self._obj_index:
             raise UnknownObject(f"unknown object {c!r}")
         return self._into[c]
-
-    def composable(self, g, f):
-        return self.dst[f] == self.src[g]
 
     def signature(self):
         return (self.objects, self.morphisms, tuple(sorted(self.identities.items())),
@@ -289,9 +283,6 @@ class PresheafMorphism:
         if check:
             self.check_natural()
 
-    def apply(self, c, x):
-        return self.components[c][x]
-
     def is_mono(self):
         return all(len(set(comp.values())) == len(comp)
                    for comp in self.components.values())
@@ -328,11 +319,6 @@ class PresheafMorphism:
 
     def __repr__(self):
         return f"PresheafMorphism({self.source!r} -> {self.target!r})"
-
-
-def identity_morphism(X):
-    return PresheafMorphism(X, X, {c: {x: x for x in X.elements(c)}
-                                   for c in X.site.objects}, check=False)
 
 
 class RepCongruence:
@@ -697,7 +683,6 @@ def enumerate_morphisms(X, Y, *, injective_only=False, limit=None):
     """
     site = X.site
     items = [(c, x) for c in site.objects for x in X.elements(c)]
-    position = {item: i for i, item in enumerate(items)}
     ysets = {c: set(Y.elements(c)) for c in site.objects}
     results = []
     assign = {}

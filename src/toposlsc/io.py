@@ -32,7 +32,13 @@ def _as_data(source, what):
     return data
 
 
-def _check_fields(data, what, required, optional=()):
+_JSON_TYPE_NAMES = {list: "a list", dict: "an object", str: "a string"}
+_NAME = (str, int)  # JSON values usable as names of objects, states and symbols
+
+
+def _check_fields(data, what, required, optional=(), types=None):
+    """Reject missing and unknown fields, and fields of the wrong JSON type;
+    `types` maps a field to the Python type (or tuple of types) it must have."""
     problems = []
     for field in required:
         if field not in data:
@@ -40,6 +46,11 @@ def _check_fields(data, what, required, optional=()):
     for field in data:
         if field not in required and field not in optional:
             problems.append(f"unknown field {field!r}")
+    for field, kind in (types or {}).items():
+        if field in data and not isinstance(data[field], kind):
+            kinds = kind if isinstance(kind, tuple) else (kind,)
+            problems.append(f"field {field!r} must be "
+                            + " or ".join(_JSON_TYPE_NAMES[k] for k in kinds))
     if problems:
         raise InputFormatError(f"malformed {what}: " + "; ".join(problems),
                                details=problems)
@@ -48,16 +59,25 @@ def _check_fields(data, what, required, optional=()):
 def load_category(source):
     data = _as_data(source, "category")
     _check_fields(data, "category file",
-                  ("objects", "morphisms", "identities", "composition"))
+                  ("objects", "morphisms", "identities", "composition"),
+                  types={"objects": list, "morphisms": list, "identities": dict,
+                         "composition": list})
+    names = [*data["objects"], *data["identities"].values()]
     for m in data["morphisms"]:
         if not isinstance(m, dict):
             raise InputFormatError(f"morphism entry {m!r} is not an object")
         _check_fields(m, "morphism entry", ("name", "src", "dst"))
-    seen_pairs = set()
+        names += m.values()
     for e in data["composition"]:
         if not isinstance(e, dict):
             raise InputFormatError(f"composition entry {e!r} is not an object")
         _check_fields(e, "composition entry", ("g", "f", "result"))
+        names += e.values()
+    if not all(isinstance(x, _NAME) for x in names):
+        raise InputFormatError("category objects and morphisms must be named by "
+                               "strings or integers")
+    seen_pairs = set()
+    for e in data["composition"]:
         pair = (e["g"], e["f"])
         if pair in seen_pairs:
             raise InputFormatError(f"duplicate composition entry for {pair!r}")
@@ -92,23 +112,20 @@ def load_presheaf(cat, source):
                     check=True)
 
 
-def dump_presheaf(X):
-    return {
-        "sets": {c: list(X.elements(c)) for c in X.site.objects},
-        "actions": {m: {str(x): X.action[m][x] for x in X.action[m]}
-                    for m, _, _ in X.site.morphisms},
-    }
-
-
 def load_group(source):
     """Group file: elements, row-major index table, and an optional `names`
     map (pretty-print names per element; the "group" key labels the group)."""
     data = _as_data(source, "group")
-    _check_fields(data, "group file", ("elements", "table"), optional=("names",))
+    _check_fields(data, "group file", ("elements", "table"), optional=("names",),
+                  types={"table": list, "names": dict})
     elements = data["elements"]
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise InputFormatError("group elements must be a list of names")
+    if not all(isinstance(row, list) for row in data["table"]):
+        raise InputFormatError("group table must be a list of rows (lists)")
     names = data.get("names", {})
+    if not all(isinstance(v, str) for v in names.values()):
+        raise InputFormatError("group names must map elements to strings")
     display = {k: v for k, v in names.items() if k != "group"}
     unknown = [k for k in display if k not in elements]
     if unknown:
@@ -130,8 +147,13 @@ def dump_group(G, label=None):
 def load_dfa(source):
     data = _as_data(source, "dfa")
     _check_fields(data, "dfa file",
-                  ("alphabet", "states", "initial", "accepting", "transitions"))
+                  ("alphabet", "states", "initial", "accepting", "transitions"),
+                  types={"alphabet": (str, list), "states": list, "accepting": list,
+                         "transitions": list})
     states = data["states"]
+    names = [*states, *data["accepting"], data["initial"], *data["alphabet"]]
+    if not all(isinstance(x, _NAME) for x in names):
+        raise InputFormatError("dfa states and symbols must be strings or integers")
     if len(set(states)) != len(states):
         raise InputFormatError("duplicate state names")
     number = {s: i for i, s in enumerate(states)}
@@ -146,7 +168,8 @@ def load_dfa(source):
     letter = {ch: a for a, ch in enumerate(alphabet)}
     delta = [[None] * len(alphabet) for _ in states]
     for entry in data["transitions"]:
-        if not (isinstance(entry, list) and len(entry) == 3):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(isinstance(x, _NAME) for x in entry)):
             raise InputFormatError(f"transition {entry!r} must be [state, symbol, state]")
         src, sym, dst = entry
         if src not in number or dst not in number:

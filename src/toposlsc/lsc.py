@@ -110,20 +110,15 @@ def verify_meet_compatibility(L, presheaves):
     P = product(cat, factors) if factors else terminal(cat)
     xi_p = xi_component(L, P)
     parts = [xi_component(L, X) for X in factors]
-    ok = True
-    witness = None
-    for c in cat.objects:
-        for xs in P.elements(c):
-            expected = L.top_at(c)
-            for part, x in zip(parts, xs):
-                expected = expected.meet(part.components[c][x])
-            got = xi_p.components[c][xs]
-            if got != expected:
-                ok = False
-                witness = (c, xs, got, expected)
-                break
-        if not ok:
-            break
+
+    def meet_of_parts(c, xs):
+        q = L.top_at(c)
+        for part, x in zip(parts, xs):
+            q = q.meet(part.components[c][x])
+        return q
+
     name = "xi-of-product-is-meet" if factors else "xi-of-terminal-is-top"
-    cert.record(name, ok, witness)
+    cert.check(name, ((c, xs, xi_p.components[c][xs], meet_of_parts(c, xs))
+                      for c in cat.objects for xs in P.elements(c)
+                      if xi_p.components[c][xs] != meet_of_parts(c, xs)))
     return cert

@@ -235,15 +235,10 @@ def check_normalization_inflationary(L):
     """Certify q <= xi_Xi(q) for every congruence of every object."""
     cert = Certificate("normalization-inflationary")
     op = normalization_operator(L)
-    witness = None
-    for c in L.site.objects:
-        for q in L.elements(c):
-            if not q.leq(op.components[c][q]):
-                witness = (c, q, op.components[c][q])
-                break
-        if witness:
-            break
-    cert.record("id-below-normalization", witness is None, witness)
+    cert.check("id-below-normalization",
+               ((c, q, op.components[c][q])
+                for c in L.site.objects for q in L.elements(c)
+                if not q.leq(op.components[c][q])))
     return cert
 
 
@@ -259,10 +254,9 @@ def is_dedekind(G):
     return all(H.is_normal() for H in subgroups(G))
 
 
-def normalization_table(G, L=None):
-    """Subgroup -> normalizer subgroup via the categorical route."""
-    from .lsc import build_lsc
-    L = L if L is not None else build_lsc(G.site())
+def normalization_table(G, L):
+    """Subgroup -> normalizer subgroup via the categorical route, read off
+    the classifier L of G's site."""
     op = normalization_operator(L)
     table = {}
     for H in subgroups(G):

@@ -7,6 +7,8 @@ identical: no timestamps, sorted keys, deterministic orderings throughout.
 
 import json
 
+from .certificates import Certificate
+from .io import dump_dfa
 from .lsc import verify_meet_compatibility
 from .normalize import (
     check_normalization_inflationary,
@@ -18,6 +20,7 @@ from .normalize import (
 )
 from .words import (
     congruence_leq,
+    minimize,
     nerode_congruence,
     orbit_meet_check,
     orbit_of,
@@ -72,9 +75,10 @@ def lsc_report(L):
     return make_report("lsc", payload, certs)
 
 
-def group_report(G, L=None):
+def group_report(G, L):
     """Subgroup lattice with its covering edges, the normalization arrows of
-    the categorical operator, and the Dedekind verdict."""
+    the categorical operator, and the Dedekind verdict; L is the classifier
+    of G's site."""
     subs = subgroups(G)
     pretty = lambda e: G.display.get(e, e)
     label = {H: "{" + ",".join(pretty(e) for e in H.sorted_members) + "}"
@@ -88,11 +92,8 @@ def group_report(G, L=None):
     table = normalization_table(G, L)
     arrows = [[label[H], label[table[H]]] for H in subs]
     oracle_ok = all(normalizer_direct(G, H) == table[H] for H in subs)
-    from .certificates import Certificate
     cert = Certificate("group")
     cert.record("normalizer-oracle-agreement", oracle_ok)
-    from .lsc import build_lsc
-    L = L if L is not None else build_lsc(G.site())
     cert.merge(check_normalization_inflationary(L))
     payload = {
         "group": G.label,
@@ -108,10 +109,6 @@ def group_report(G, L=None):
 def words_report(d, source=None):
     """Minimal DFA, Nerode index, syntactic monoid data, orbit size,
     normalization image, and the standard verdicts."""
-    from .certificates import Certificate
-    from .io import dump_dfa
-    from .words import minimize
-
     m = minimize(d)
     rc = nerode_congruence(m)
     tm, syn = syntactic_congruence(m)

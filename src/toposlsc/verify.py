@@ -15,6 +15,7 @@ from .certificates import Certificate
 from .errors import InputFormatError, NotUpwardClosed
 from .fincat import (
     DEFAULT_BUDGET,
+    Presheaf,
     coproduct,
     image_quotient,
     quotient_of_representable,
@@ -34,6 +35,7 @@ from .filters import (
 from .lsc import build_lsc, verify_meet_compatibility, xi_component
 from .normalize import (
     check_normalization_inflationary,
+    congruence_to_subgroup,
     monoid_site,
     normalization_is_top,
     normalization_operator,
@@ -92,99 +94,67 @@ def _sample_presheaves(L):
 
 
 def _check_semilattice(cert, name, L):
-    witness = None
-    for c in L.site.objects:
-        xs = L.elements(c)
-        top = L.top_at(c)
-        for q1 in xs:
-            if q1.meet(q1) != q1 or q1.meet(top) != q1:
-                witness = (c, q1)
-                break
-            for q2 in xs:
-                if q1.meet(q2) != q2.meet(q1) or q1.meet(q2) not in set(xs):
-                    witness = (c, q1, q2)
-                    break
-                for q3 in xs:
-                    if q1.meet(q2.meet(q3)) != (q1.meet(q2)).meet(q3):
-                        witness = (c, q1, q2, q3)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    cert.record(f"{name}: meet-semilattice laws", witness is None, witness)
+    def counterexamples():
+        for c in L.site.objects:
+            xs = L.elements(c)
+            members = set(xs)
+            top = L.top_at(c)
+            for q1 in xs:
+                if q1.meet(q1) != q1 or q1.meet(top) != q1:
+                    yield (c, q1)
+                for q2 in xs:
+                    if q1.meet(q2) != q2.meet(q1) or q1.meet(q2) not in members:
+                        yield (c, q1, q2)
+                    yield from ((c, q1, q2, q3) for q3 in xs
+                                if q1.meet(q2.meet(q3)) != (q1.meet(q2)).meet(q3))
+
+    cert.check(f"{name}: meet-semilattice laws", counterexamples())
 
 
 def _check_action_monotone(cert, name, L):
-    witness = None
-    for f, s, d in L.site.morphisms:
-        for q1 in L.elements(d):
-            for q2 in L.elements(d):
-                if q1.meet(q2).precompose(f) != L.act(q1, f).meet(L.act(q2, f)):
-                    witness = (f, q1, q2, "meet not preserved")
-                    break
-                if q1.leq(q2) and not L.act(q1, f).leq(L.act(q2, f)):
-                    witness = (f, q1, q2, "order not preserved")
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    cert.record(f"{name}: action monotone, meets preserved", witness is None, witness)
+    def counterexamples():
+        for f, s, d in L.site.morphisms:
+            for q1 in L.elements(d):
+                for q2 in L.elements(d):
+                    if q1.meet(q2).precompose(f) != L.act(q1, f).meet(L.act(q2, f)):
+                        yield (f, q1, q2, "meet not preserved")
+                    if q1.leq(q2) and not L.act(q1, f).leq(L.act(q2, f)):
+                        yield (f, q1, q2, "order not preserved")
+
+    cert.check(f"{name}: action monotone, meets preserved", counterexamples())
 
 
 def _check_joint_surjectivity(cert, name, L):
-    witness = None
-    for c in L.site.objects:
-        for q in L.elements(c):
-            Q = quotient_of_representable(q)
-            base = q.block_members(L.site.identity(c))
-            if xi_component(L, Q).components[c][base] != q:
-                witness = (c, q)
-                break
-        if witness:
-            break
-    cert.record(f"{name}: every congruence hit by its quotient", witness is None, witness)
+    def hit(c, q):
+        base = q.block_members(L.site.identity(c))
+        return xi_component(L, quotient_of_representable(q)).components[c][base]
+
+    cert.check(f"{name}: every congruence hit by its quotient",
+               ((c, q) for c in L.site.objects for q in L.elements(c) if hit(c, q) != q))
 
 
 def _check_cocone_naturality(cert, name, L, samples):
-    witness = None
-    for X in samples:
-        for Y in samples:
-            P, inl, _ = coproduct(X, Y)
+    def counterexamples():
+        for X in samples:
             xi_x = xi_component(L, X)
-            xi_p = xi_component(L, P)
-            for c in L.site.objects:
-                for x in X.elements(c):
-                    if xi_p.components[c][inl.components[c][x]] != xi_x.components[c][x]:
-                        witness = (c, x)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    cert.record(f"{name}: xi constant along embeddings", witness is None, witness)
+            for Y in samples:
+                P, inl, _ = coproduct(X, Y)
+                xi_p = xi_component(L, P)
+                yield from ((c, x) for c in L.site.objects for x in X.elements(c)
+                            if xi_p.components[c][inl.components[c][x]]
+                            != xi_x.components[c][x])
+
+    cert.check(f"{name}: xi constant along embeddings", counterexamples())
 
 
 def _check_xi_against_yoneda(cert, name, L, samples):
-    witness = None
-    for X in samples:
-        xi = xi_component(L, X)
-        for c in L.site.objects:
-            for x in X.elements(c):
-                if image_quotient(yoneda_morphism(X, c, x)) != xi.components[c][x]:
-                    witness = (c, x)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    cert.record(f"{name}: xi equals kernel of classifying morphism",
-                witness is None, witness)
+    def counterexamples():
+        for X in samples:
+            xi = xi_component(L, X)
+            yield from ((c, x) for c in L.site.objects for x in X.elements(c)
+                        if image_quotient(yoneda_morphism(X, c, x)) != xi.components[c][x])
+
+    cert.check(f"{name}: xi equals kernel of classifying morphism", counterexamples())
 
 
 def suite_lsc(budget=DEFAULT_BUDGET, fixtures_dir=None):
@@ -218,73 +188,67 @@ D4_EXPECTED_ARROWS = {
 }
 
 
-def d4_normalization_matches(G=None):
-    """The full D4 subgroup-to-normalizer table against its expected shape."""
-    G = G or fixtures.dihedral_4()
+def d4_normalization_matches(G, L):
+    """The full D4 subgroup-to-normalizer table of G (with L the classifier
+    of G's site) against its expected shape."""
     named = fixtures.d4_named_subgroups(G)
     inverse = {H: n for n, H in named.items()}
-    table = normalization_table(G)
+    table = normalization_table(G, L)
     got = {inverse[H]: inverse[N] for H, N in table.items()}
     return got == D4_EXPECTED_ARROWS, got
 
 
-def _group_oracle_check(cert, G, budget):
-    L = build_lsc(G.site(), budget)
+def _group_oracle_check(cert, G, L):
     op = normalization_operator(L)
-    witness = None
-    for H in subgroups(G):
-        q = subgroup_to_congruence(G, H)
-        from .normalize import congruence_to_subgroup
-        categorical = congruence_to_subgroup(G, op.components["*"][q])
-        direct = normalizer_direct(G, H)
-        if categorical != direct:
-            witness = (H, categorical, direct)
-            break
-    cert.record(f"{G.label}: categorical normalizer equals brute force",
-                witness is None, witness)
+
+    def counterexamples():
+        for H in subgroups(G):
+            q = subgroup_to_congruence(G, H)
+            categorical = congruence_to_subgroup(G, op.components["*"][q])
+            direct = normalizer_direct(G, H)
+            if categorical != direct:
+                yield (H, categorical, direct)
+
+    cert.check(f"{G.label}: categorical normalizer equals brute force", counterexamples())
     cert.merge(check_normalization_inflationary(L))
-    return L
 
 
 def find_non_monotonicity_witness(L):
     op = normalization_operator(L)
-    for c in L.site.objects:
-        for q1, q2 in itertools.permutations(L.elements(c), 2):
-            if q1.leq(q2) and not op.components[c][q1].leq(op.components[c][q2]):
-                return (c, q1, q2)
-    return None
+    return next(((c, q1, q2) for c in L.site.objects
+                 for q1, q2 in itertools.permutations(L.elements(c), 2)
+                 if q1.leq(q2) and not op.components[c][q1].leq(op.components[c][q2])),
+                None)
 
 
 def find_non_idempotence_witness(L):
     op = normalization_operator(L)
-    for c in L.site.objects:
-        for q in L.elements(c):
-            once = op.components[c][q]
-            if op.components[c][once] != once:
-                return (c, q, once, op.components[c][once])
-    return None
+    return next(((c, q, op.components[c][q], op.components[c][op.components[c][q]])
+                 for c in L.site.objects for q in L.elements(c)
+                 if op.components[c][op.components[c][q]] != op.components[c][q]),
+                None)
 
 
 def suite_normalize(budget=DEFAULT_BUDGET, fixtures_dir=None):
     cert = Certificate("normalize")
-    ok, got = d4_normalization_matches()
+    groups = fixtures.bundled_groups()
+    classifiers = {name: build_lsc(groups[name].site(), budget) for name in sorted(groups)}
+    LD4 = classifiers["D4"]
+    ok, got = d4_normalization_matches(groups["D4"], LD4)
     cert.record("D4: normalization table matches the known diagram", ok,
                 None if ok else got)
-    groups = fixtures.bundled_groups()
     for name in sorted(groups):
-        _group_oracle_check(cert, groups[name], budget)
-    LD4 = build_lsc(groups["D4"].site(), budget)
+        _group_oracle_check(cert, groups[name], classifiers[name])
     idem_witness = find_non_idempotence_witness(LD4)
     cert.record("D4: normalization not idempotent", idem_witness is not None,
                 idem_witness)
     mono_witness = find_non_monotonicity_witness(LD4)
     cert.record("D4: normalization not order-preserving",
                 mono_witness is not None, mono_witness)
-    for name, G in sorted(groups.items()):
-        L = build_lsc(G.site(), budget)
+    for name in sorted(groups):
         expect_top = name in ("Q8", "Z1", "Z2", "Z3", "Z4", "Z5", "Z6")
         cert.record(f"{name}: normalization constantly top iff Dedekind",
-                    normalization_is_top(L) == expect_top)
+                    normalization_is_top(classifiers[name]) == expect_top)
     for name, site in fixtures.BUNDLED_POSETS.items():
         L = build_lsc(site, budget)
         terminal_xi = all(len(L.elements(c)) == 1 for c in site.objects)
@@ -298,16 +262,13 @@ def suite_normalize(budget=DEFAULT_BUDGET, fixtures_dir=None):
     cert.record("idempotent monoid: two states, operator is the identity",
                 len(Li.elements("*")) == 2
                 and all(opi.components["*"][q] == q for q in Li.elements("*")))
-    witness = None
-    for elements, mult in fixtures.all_monoids(2) + fixtures.all_monoids(3):
-        Lm = build_lsc(monoid_site(elements, lambda a, b: mult[(a, b)]), budget)
-        if not check_normalization_inflationary(Lm).ok:
-            witness = mult
-            break
-    cert.record("all monoid tables of order <= 3: operator inflationary",
-                witness is None, witness)
+    cert.check("all monoid tables of order <= 3: operator inflationary",
+               (mult for elements, mult in fixtures.all_monoids(2) + fixtures.all_monoids(3)
+                if not check_normalization_inflationary(build_lsc(
+                    monoid_site(elements, lambda a, b: mult[(a, b)]), budget)).ok))
     for path in _fixture_files(fixtures_dir, ".group"):
-        _group_oracle_check(cert, io.load_group(path), budget)
+        G = io.load_group(path)
+        _group_oracle_check(cert, G, build_lsc(G.site(), budget))
     return cert
 
 
@@ -379,7 +340,6 @@ def suite_filters(budget=DEFAULT_BUDGET, fixtures_dir=None):
 
 
 def _single_edge_graph(site):
-    from .fincat import Presheaf
     carrier = {"V": ("p", "q"), "E": ("e",)}
     action = {"id_V": {"p": "p", "q": "q"}, "id_E": {"e": "e"},
               "s": {"e": "p"}, "t": {"e": "q"}}
@@ -428,6 +388,87 @@ def _check_regex_fixture(cert, expr, alphabet):
         cert.record(f"{expr}: word-enumeration residual oracle agrees",
                     brute == rc.index, brute)
     return d, rc, syn
+
+
+def _action_meet_counterexamples(compiled):
+    """Action/meet coherence on pairs of the first five fixtures over "ab"."""
+    sample_words = words_upto(("a", "b"), 3)
+    for (e1, _), (e2, _) in itertools.combinations(
+            [(e, a) for e, a in fixtures.BUNDLED_REGEXES if a == "ab"][:5], 2):
+        rc1 = compiled[e1][1]
+        rc2 = compiled[e2][1]
+        both = congruence_meet(rc1, rc2)
+        for w in sample_words:
+            lhs = congruence_action(both, w)
+            rhs = congruence_meet(congruence_action(rc1, w), congruence_action(rc2, w))
+            if lhs != rhs:
+                yield (e1, e2, w)
+            if congruence_action(rc1, w).index > rc1.index:
+                yield (e1, w, "index increased")
+
+
+def _two_sided_oracle_counterexamples(compiled):
+    """Word pairs where the brute-force two-sided test and the transition
+    monoid disagree, on the small fixtures."""
+    for expr in ("(ab)*", "(a|b)*a"):
+        d, _, syn = compiled[expr]
+        yield from ((expr, u, v)
+                    for u in words_upto(("a", "b"), 2) for v in words_upto(("a", "b"), 2)
+                    if syntactically_equivalent_bruteforce(d, u, v) != syn.related(u, v))
+
+
+def _random_identity_counterexamples(rng):
+    """The Myhill-Nerode and orbit-infimum identities on 20 random minimal DFAs."""
+    for _ in range(20):
+        d = random_min_dfa(rng, 6, "ab")
+        rc = nerode_congruence(d)
+        if not (rc.index == d.n == residual_count_dfa(d)):
+            yield (d, "index mismatch")
+        if not orbit_meet_check(rc)[1]:
+            yield (d, "orbit meet mismatch")
+        if not congruence_leq(syntactic_congruence(d)[1], rc):
+            yield (d, "syntactic does not refine nerode")
+
+
+def _inflation_counterexamples(rng):
+    """Normalization inflationary on 50 random minimal DFAs over 2 and 3 letters."""
+    for i in range(50):
+        d = random_min_dfa(rng, 6, "ab" if i % 2 == 0 else "abc")
+        rc = nerode_congruence(d)
+        if not congruence_leq(rc, words_normalization_operator(rc)):
+            yield d
+
+
+def _isomorphism_counterexamples(rng):
+    """Canonicalization soundness against the backtracking isomorphism finder."""
+    for i in range(200):
+        rows_a, init_a = _random_trim_automaton(rng)
+        if i % 2 == 0:
+            # a shuffled relabelling: isomorphic by construction
+            n = len(rows_a)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            rows_b = [None] * n
+            for s in range(n):
+                rows_b[perm[s]] = [perm[t] for t in rows_a[s]]
+            init_b = perm[init_a]
+        else:
+            rows_b, init_b = _random_trim_automaton(rng)
+        ca = RightCongruence(("a", "b"), rows_a, init_a)
+        cb = RightCongruence(("a", "b"), rows_b, init_b)
+        iso = find_pointed_isomorphism((rows_a, init_a), (rows_b, init_b))
+        if (ca == cb) != (iso is not None):
+            yield (rows_a, init_a, rows_b, init_b)
+
+
+def _embedding_counterexamples(compiled):
+    """Classifying states is invariant under equivariant embeddings."""
+    other = compiled["a*"][1]
+    for expr in ("(ab)*", "a(a|b)*"):
+        rc = compiled[expr][1]
+        rows = _disjoint_union_states(rc, other)
+        yield from ((expr, q) for q in range(rc.n)
+                    if RightCongruence(("a", "b"), rows, q) != state_congruence(rc, q))
 
 
 def _disjoint_union_states(a, b):
@@ -480,116 +521,18 @@ def suite_words(budget=DEFAULT_BUDGET, fixtures_dir=None):
     cert.record("a-prefixed language: three classes normalize to two",
                 rc3.index == 3 and words_normalization_operator(rc3).index == 2)
 
-    # action/meet coherence on fixture pairs
-    witness = None
-    sample_words = words_upto(("a", "b"), 3)
-    for (e1, _), (e2, _) in itertools.combinations(
-            [(e, a) for e, a in fixtures.BUNDLED_REGEXES if a == "ab"][:5], 2):
-        rc1 = compiled[e1][1]
-        rc2 = compiled[e2][1]
-        both = congruence_meet(rc1, rc2)
-        for w in sample_words:
-            lhs = congruence_action(both, w)
-            rhs = congruence_meet(congruence_action(rc1, w), congruence_action(rc2, w))
-            if lhs != rhs:
-                witness = (e1, e2, w)
-                break
-            if congruence_action(rc1, w).index > rc1.index:
-                witness = (e1, w, "index increased")
-                break
-        if witness:
-            break
-    cert.record("action commutes with meets and never raises the index",
-                witness is None, witness)
-
-    # two-sided brute-force oracle on the small fixtures
-    witness = None
-    for expr in ("(ab)*", "(a|b)*a"):
-        d, _, syn = compiled[expr]
-        for u in words_upto(("a", "b"), 2):
-            for v in words_upto(("a", "b"), 2):
-                brute = syntactically_equivalent_bruteforce(d, u, v)
-                if brute != syn.related(u, v):
-                    witness = (expr, u, v)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    cert.record("two-sided brute-force oracle agrees with the transition monoid",
-                witness is None, witness)
-
-    # random minimal DFAs: the Myhill-Nerode and orbit-infimum identities
-    rng = random.Random(SEED_WORDS)
-    witness = None
-    for _ in range(20):
-        d = random_min_dfa(rng, 6, "ab")
-        rc = nerode_congruence(d)
-        if not (rc.index == d.n == residual_count_dfa(d)):
-            witness = (d, "index mismatch")
-            break
-        meet, agrees = orbit_meet_check(rc)
-        if not agrees:
-            witness = (d, "orbit meet mismatch")
-            break
-        if not congruence_leq(syntactic_congruence(d)[1], rc):
-            witness = (d, "syntactic does not refine nerode")
-            break
-    cert.record("20 random minimal DFAs: nerode, orbit-infimum and refinement identities",
-                witness is None, witness)
-
-    # random minimal DFAs over 2 and 3 letters: normalization inflationary
-    rng = random.Random(SEED_INFLATION)
-    witness = None
-    for i in range(50):
-        d = random_min_dfa(rng, 6, "ab" if i % 2 == 0 else "abc")
-        rc = nerode_congruence(d)
-        if not congruence_leq(rc, words_normalization_operator(rc)):
-            witness = d
-            break
-    cert.record("50 random minimal DFAs: normalization inflationary",
-                witness is None, witness)
-
-    # canonicalization soundness against the backtracking isomorphism finder
-    rng = random.Random(SEED_ISO)
-    witness = None
-    for i in range(200):
-        rows_a, init_a = _random_trim_automaton(rng)
-        if i % 2 == 0:
-            # a shuffled relabelling: isomorphic by construction
-            n = len(rows_a)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            rows_b = [None] * n
-            for s in range(n):
-                rows_b[perm[s]] = [perm[t] for t in rows_a[s]]
-            init_b = perm[init_a]
-        else:
-            rows_b, init_b = _random_trim_automaton(rng)
-        ca = RightCongruence(("a", "b"), rows_a, init_a)
-        cb = RightCongruence(("a", "b"), rows_b, init_b)
-        iso = find_pointed_isomorphism((rows_a, init_a), (rows_b, init_b))
-        if (ca == cb) != (iso is not None):
-            witness = (rows_a, init_a, rows_b, init_b)
-            break
-    cert.record("200 random pairs: structural equality iff pointed isomorphism",
-                witness is None, witness)
-
-    # classifying states is invariant under equivariant embeddings
-    witness = None
-    for expr in ("(ab)*", "a(a|b)*"):
-        rc = compiled[expr][1]
-        other = compiled["a*"][1]
-        rows = _disjoint_union_states(rc, other)
-        for q in range(rc.n):
-            inside = RightCongruence(("a", "b"), rows, q)
-            if inside != state_congruence(rc, q):
-                witness = (expr, q)
-                break
-        if witness:
-            break
-    cert.record("state classification invariant under disjoint-union embedding",
-                witness is None, witness)
+    cert.check("action commutes with meets and never raises the index",
+               _action_meet_counterexamples(compiled))
+    cert.check("two-sided brute-force oracle agrees with the transition monoid",
+               _two_sided_oracle_counterexamples(compiled))
+    cert.check("20 random minimal DFAs: nerode, orbit-infimum and refinement identities",
+               _random_identity_counterexamples(random.Random(SEED_WORDS)))
+    cert.check("50 random minimal DFAs: normalization inflationary",
+               _inflation_counterexamples(random.Random(SEED_INFLATION)))
+    cert.check("200 random pairs: structural equality iff pointed isomorphism",
+               _isomorphism_counterexamples(random.Random(SEED_ISO)))
+    cert.check("state classification invariant under disjoint-union embedding",
+               _embedding_counterexamples(compiled))
 
     for path in _fixture_files(fixtures_dir, ".dfa"):
         d = io.load_dfa(path)

@@ -52,7 +52,8 @@ def _verdict(number, description, ok):
 
 def test_criterion_1_d4_normalization_table():
     started = time.perf_counter()
-    ok, got = d4_normalization_matches()
+    G = fixtures.dihedral_4()
+    ok, got = d4_normalization_matches(G, build_lsc(G.site()))
     elapsed = time.perf_counter() - started
     _verdict(1, f"D4 ten-subgroup normalization table, exact ({elapsed:.2f}s < 1s)",
              ok and elapsed < 1.0)

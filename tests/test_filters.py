@@ -6,6 +6,7 @@ from toposlsc.errors import (
     NotMeetClosed,
     NotSubpresheaf,
     NotUpwardClosed,
+    ObjectMismatch,
     SiteMismatch,
 )
 from toposlsc.fincat import Presheaf, product, quotient_of_representable, terminal
@@ -94,6 +95,18 @@ def test_missing_meet_reports_not_meet_closed(d4, d4_lsc, named):
     selection = {"*": {subgroup_to_congruence(d4, named[n]) for n in ups}}
     with pytest.raises(NotMeetClosed):
         validate_filter(d4_lsc, selection)
+
+
+@pytest.mark.parametrize("use", ["generate", "validate", "as_presheaf"])
+def test_congruence_selected_at_the_wrong_object_is_an_object_mismatch(graph_lsc, use):
+    miskeyed = {"E": [graph_lsc.top_at("V")]}
+    with pytest.raises(ObjectMismatch):
+        if use == "generate":
+            filter_generated_by(graph_lsc, miskeyed)
+        elif use == "validate":
+            validate_filter(graph_lsc, miskeyed)
+        else:
+            InternalFilter(graph_lsc, miskeyed).as_presheaf()
 
 
 # --- generation --------------------------------------------------------------------

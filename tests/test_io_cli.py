@@ -276,3 +276,43 @@ def test_cli_verify_with_good_fixture(tmp_path, capsys):
 
 def test_cli_no_command_prints_help(capsys):
     assert main([]) == 2
+
+
+def _wrongly_typed(kind, field, value):
+    data = {"cat": lambda: io.dump_category(fixtures.graph_site()),
+            "group": lambda: io.dump_group(fixtures.dihedral_4()),
+            "dfa": lambda: io.dump_dfa(regex_to_min_dfa("(ab)*", "ab"))}[kind]()
+    data[field] = value
+    return data
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("cat", "objects", "VE"),
+    ("cat", "morphisms", 3),
+    ("cat", "identities", ["x"]),
+    ("cat", "composition", {"g": "s"}),
+    ("group", "names", 5),
+    ("group", "table", [1, 2]),
+    ("dfa", "states", 3),
+    ("dfa", "accepting", "q0"),
+    ("dfa", "transitions", None),
+    ("dfa", "alphabet", 5),
+    ("dfa", "initial", ["q0"]),
+])
+def test_cli_wrongly_typed_field_exits_2(tmp_path, capsys, kind, field, value):
+    path = tmp_path / f"input.{kind}"
+    path.write_text(json.dumps(_wrongly_typed(kind, field, value)))
+    command = {"cat": ["lsc"], "group": ["group"], "dfa": ["words", "--dfa"]}[kind]
+    assert main([*command, str(path)]) == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_cli_budget_below_one_exits_2(tmp_path, capsys, monkeypatch, budget):
+    path = tmp_path / "d4.group"
+    path.write_text(json.dumps(io.dump_group(fixtures.dihedral_4())))
+    assert main(["--budget", budget, "group", str(path)]) == 2
+    assert "below 1" in capsys.readouterr().err
+    monkeypatch.setenv("TOPOS_LSC_BUDGET", budget)
+    assert main(["group", str(path)]) == 2
+    assert "below 1" in capsys.readouterr().err

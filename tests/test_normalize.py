@@ -133,7 +133,8 @@ def test_normalizer_direct_requires_subgroup(d4):
 # --- the categorical operator -----------------------------------------------------------
 
 def test_d4_normalization_table_matches_expected_diagram():
-    ok, got = d4_normalization_matches()
+    G = fixtures.dihedral_4()
+    ok, got = d4_normalization_matches(G, build_lsc(G.site()))
     assert ok, got
 
 
@@ -141,7 +142,7 @@ def test_categorical_equals_brute_force_on_small_groups():
     for G in [fixtures.dihedral_4(), fixtures.symmetric_3(),
               fixtures.quaternion_8(), fixtures.cyclic_group(4),
               fixtures.cyclic_group(6)]:
-        table = normalization_table(G)
+        table = normalization_table(G, build_lsc(G.site()))
         for H, N in table.items():
             assert N == normalizer_direct(G, H), (G.label, H)
 

@@ -17,3 +17,18 @@ def test_run_all_merges_every_suite():
     prefixes = {c.name.split(".")[0] for c in cert.checks}
     assert prefixes == set(SUITES)
     assert cert.ok
+
+
+def test_suite_normalize_builds_each_site_once(monkeypatch):
+    from toposlsc import verify
+
+    built = []
+    real = verify.build_lsc
+
+    def counting(site, *args, **kwargs):
+        built.append(site.signature())
+        return real(site, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "build_lsc", counting)
+    assert verify.suite_normalize().ok
+    assert len(built) == len(set(built))
