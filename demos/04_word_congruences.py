@@ -32,8 +32,8 @@ print("rc * a equals nerode of b(ab)*:",
       after_a == nerode_congruence(regex_to_min_dfa("b(ab)*", "ab")))
 
 print("orbit size:", len(orbit_of(rc)))
-meet, agrees = orbit_meet_check(rc)
 tm, syn = syntactic_congruence(d)
+meet, agrees = orbit_meet_check(rc, syn)
 print(f"orbit infimum has index {meet.index}; syntactic monoid has order "
       f"{tm.order}; the two routes agree: {agrees}")
 print("monoid witnesses:", tm.witnesses)

@@ -65,12 +65,17 @@ class InternalFilter:
                      for q in self.selection[d]
                      if L.act(q, name) not in self.selection[s]), None)
 
-    def as_presheaf(self):
-        """The selection as a subpresheaf of Xi (requires action-closure)."""
+    def _require_subpresheaf(self):
+        """Raise NotSubpresheaf with the (q, f) witness unless the selection
+        is closed under the action."""
         bad = self.subpresheaf_violation()
         if bad is not None:
             raise NotSubpresheaf(
                 f"{bad[0]!r} . {bad[1]!r} leaves the selection", witness=bad)
+
+    def as_presheaf(self):
+        """The selection as a subpresheaf of Xi (requires action-closure)."""
+        self._require_subpresheaf()
         cat = self.lsc.site
         carrier = {c: tuple(q for q in self.lsc.elements(c) if q in self.selection[c])
                    for c in cat.objects}
@@ -111,10 +116,7 @@ def validate_filter(L, selection):
     for selections that are empty somewhere.
     """
     F = selection if isinstance(selection, InternalFilter) else InternalFilter(L, selection)
-    bad = F.subpresheaf_violation()
-    if bad is not None:
-        raise NotSubpresheaf(f"{bad[0]!r} . {bad[1]!r} leaves the selection",
-                             witness=bad)
+    F._require_subpresheaf()
     for c in L.site.objects:
         chosen = F.selection[c]
         for q in chosen:
@@ -234,7 +236,11 @@ def certify_quotient_classifier(F, samples=None, *, mono_limit=64):
       comonad             G is idempotent with monic counit and preserves
                           the terminal object, sampled binary products and
                           sampled equalizers.
+
+    A selection not closed under the action is no subpresheaf of Xi, so no
+    clause applies: it raises NotSubpresheaf with the (q, f) witness.
     """
+    F._require_subpresheaf()
     cert = Certificate("quotient-classifier")
     cat = F.lsc.site
 
@@ -274,10 +280,6 @@ def certify_quotient_classifier(F, samples=None, *, mono_limit=64):
 
 
 def _self_membership_counterexamples(F):
-    bad = F.subpresheaf_violation()
-    if bad is not None:
-        yield bad
-        return
     op = normalization_operator(F.lsc)
     for c in F.lsc.site.objects:
         yield from (q for q in sorted(F.selection[c], key=lambda q: q.sort_key())

@@ -99,7 +99,12 @@ def load_presheaf(cat, source):
     """Presheaf file: `sets` per object (missing objects mean empty) and
     `actions` per morphism; keys outside the site are rejected."""
     data = _as_data(source, "presheaf")
-    _check_fields(data, "presheaf file", ("sets", "actions"))
+    _check_fields(data, "presheaf file", ("sets", "actions"),
+                  types={"sets": dict, "actions": dict})
+    if not all(isinstance(v, list) for v in data["sets"].values()):
+        raise InputFormatError("presheaf sets must map objects to lists")
+    if not all(isinstance(v, dict) for v in data["actions"].values()):
+        raise InputFormatError("presheaf actions must map morphisms to objects")
     bad_objects = [c for c in data["sets"] if c not in cat._obj_index]
     bad_morphisms = [m for m in data["actions"] if m not in cat.src]
     problems = [f"unknown object {c!r} in sets" for c in bad_objects]
@@ -213,10 +218,13 @@ def load_filter_selection(L, source):
         if c not in L.site._obj_index:
             problems.append(f"unknown object {c!r}")
             continue
+        if not isinstance(idxs, list):
+            problems.append(f"indices at {c!r} must be a list")
+            continue
         xi_c = L.elements(c)
         chosen = set()
         for i in idxs:
-            if not isinstance(i, int) or not 0 <= i < len(xi_c):
+            if type(i) is not int or not 0 <= i < len(xi_c):
                 problems.append(f"index {i!r} out of range at {c!r}")
             else:
                 chosen.add(xi_c[i])

@@ -23,7 +23,6 @@ from .words import (
     minimize,
     nerode_congruence,
     orbit_meet_check,
-    orbit_of,
     residual_count_dfa,
     syntactic_congruence,
     words_normalization_operator,
@@ -112,7 +111,7 @@ def words_report(d, source=None):
     m = minimize(d)
     rc = nerode_congruence(m)
     tm, syn = syntactic_congruence(m)
-    meet, agrees = orbit_meet_check(rc)
+    _, agrees = orbit_meet_check(rc, syn)
     normalized = words_normalization_operator(rc)
     cert = Certificate("words")
     cert.record("nerode-index-equals-minimal-states", rc.index == m.n)
@@ -131,7 +130,9 @@ def words_report(d, source=None):
             "witnesses": list(tm.witnesses),
             "table": tm.table() if tm.order <= MONOID_TABLE_LIMIT else None,
         },
-        "orbit_size": len(orbit_of(rc)),
+        # the image's classes are the orbit's members: one per future up to
+        # pointed isomorphism
+        "orbit_size": normalized.index,
         "normalization_image_index": normalized.index,
     }
     return make_report("words", payload, [cert])

@@ -5,7 +5,12 @@ right congruences on S* acted on by (~ * w) relating u, v iff wu ~ wv.  A
 finite-index right congruence is the same thing as a pointed accessible
 deterministic transition system, which is how this module represents them:
 `RightCongruence` stores the canonical (BFS shortlex) numbering, so
-structural equality coincides with pointed isomorphism.
+structural equality coincides with pointed isomorphism.  A `Dfa` is the same
+type plus a set of accepting states, so validation, canonical numbering,
+`letter` and `run` exist once.  One breadth-first exploration, `_explore`,
+numbers new states everywhere: the canonical form, the subset construction,
+the pointed product behind meets and the transition monoid, whose
+exploration rows are its right Cayley graph.
 
 Only finite-index congruences are representable.  That is exactly the orbit-
 finite fragment in which regular languages live; non-regular languages have
@@ -18,6 +23,7 @@ monoids via transition monoids, orbit infima, and the normalization operator
 that groups states by the pointed-isomorphism class of their futures.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -77,24 +83,34 @@ class Star:
     inner: object
 
 
+# The parser descends four calls per open group; this bound keeps the
+# deepest accepted regex well inside the interpreter's recursion limit.
+MAX_GROUP_DEPTH = 100
+
+
 def parse_regex(src, alphabet):
     """Parse a regex over the given alphabet into a syntax tree.
 
     Grammar: single-character symbols, juxtaposition for concatenation, `|`
     for alternation, `*` for iteration, parentheses, `#e` for the empty word
-    and `#0` for the empty language.
+    and `#0` for the empty language.  Groups nest at most MAX_GROUP_DEPTH
+    deep.
     """
     symbols = set(_check_alphabet(alphabet))
     n = len(src)
     pos = 0
+    depth = 0
 
     def fail(message, at):
         raise RegexSyntaxError(message, at)
 
     def parse_atom():
-        nonlocal pos
+        nonlocal pos, depth
         ch = src[pos]
         if ch == "(":
+            if depth == MAX_GROUP_DEPTH:
+                fail(f"groups nested deeper than {MAX_GROUP_DEPTH}", pos)
+            depth += 1
             open_pos = pos
             pos += 1
             if pos >= n:
@@ -107,6 +123,7 @@ def parse_regex(src, alphabet):
             if src[pos] != ")":
                 fail(f"unexpected {src[pos]!r}", pos)
             pos += 1
+            depth -= 1
             return node
         if ch == "#":
             if pos + 1 < n and src[pos + 1] == "e":
@@ -194,77 +211,149 @@ def words_upto(alphabet, bound):
 
 
 # ---------------------------------------------------------------------------
-# DFAs
+# pointed transition systems: right congruences and DFAs
 # ---------------------------------------------------------------------------
 
-def _bfs_order(n, rows, initial):
-    """First-visit order of reachable states, expanding letters in order."""
-    order = [initial]
-    number = {initial: 0}
-    i = 0
-    while i < len(order):
-        s = order[i]
-        i += 1
-        for t in rows[s]:
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-    return order, number
+def _explore(start, successors):
+    """Breadth-first exploration from `start`.
+
+    ``successors(s)`` lists the states reached from s by each letter, in
+    alphabet order.  Returns ``(number, rows)``: ``number`` maps each reached
+    state to its first-visit number (its insertion order is that order) and
+    ``rows[i][a]`` is the number of the state the a-th letter leads to from
+    the i-th.
+    """
+    number = {start: 0}
+    states = [start]
+    rows = []
+    for s in states:
+        row = []
+        for t in successors(s):
+            j = number.get(t)
+            if j is None:
+                j = number[t] = len(states)
+                states.append(t)
+            row.append(j)
+        rows.append(row)
+    return number, rows
 
 
-class Dfa:
-    """A complete DFA, trimmed to its reachable part and canonically numbered.
+def _witnesses(rows, symbols):
+    """Shortlex-least word reaching each state of a breadth-first numbered
+    system: the first transition into a state, scanning rows in order, comes
+    from the state that discovered it."""
+    out = [""] + [None] * (len(rows) - 1)
+    for s, row in enumerate(rows):
+        for ch, t in zip(symbols, row):
+            if out[t] is None:
+                out[t] = out[s] + ch
+    return tuple(out)
 
-    States are 0..n-1 with 0 initial; `delta` is a state-major tuple of
-    tuples indexed by letter position.
+
+class RightCongruence:
+    """A finite-index right congruence on S*, i.e. a pointed accessible
+    deterministic transition system in canonical (BFS shortlex) numbering.
+
+    The initial state is always 0, so two values are structurally equal iff
+    the pointed automata are isomorphic.  ``index`` (= the number of states)
+    is the number of congruence classes.
     """
 
-    __slots__ = ("alphabet", "n", "initial", "accepting", "delta")
+    __slots__ = ("alphabet", "delta", "_letter", "_hash")
 
-    def __init__(self, alphabet, n, initial, accepting, delta):
+    initial = 0
+
+    def __init__(self, alphabet, delta_rows, initial=0):
+        self._canonize(alphabet, delta_rows, initial)
+
+    def _canonize(self, alphabet, delta_rows, initial):
+        """Validate the table and keep the part reachable from `initial`,
+        renumbered breadth-first; returns the new number of each old state."""
         self.alphabet = _check_alphabet(alphabet)
-        if n <= 0:
-            raise UnknownState("a DFA needs at least one state")
-        if not 0 <= initial < n:
+        rows = list(map(tuple, delta_rows))
+        if not rows or set(map(len, rows)) != {len(self.alphabet)}:
+            raise UnknownState("transition table is empty or does not match the alphabet")
+        if not 0 <= initial < len(rows):
             raise UnknownState(f"initial state {initial!r} out of range")
-        rows = [tuple(row) for row in delta]
-        if len(rows) != n or any(len(r) != len(self.alphabet) for r in rows):
-            raise UnknownState("transition table shape does not match states x alphabet")
-        for r in rows:
-            for t in r:
-                if not 0 <= t < n:
-                    raise UnknownState(f"transition target {t!r} out of range")
-        for s in accepting:
-            if not 0 <= s < n:
-                raise UnknownState(f"accepting state {s!r} out of range")
-        order, number = _bfs_order(n, rows, initial)
-        self.n = len(order)
-        self.initial = 0
-        self.delta = tuple(tuple(number[rows[s][a]] for a in range(len(self.alphabet)))
-                           for s in order)
-        self.accepting = frozenset(number[s] for s in accepting if s in number)
+        if self.alphabet:
+            lo, hi = min(map(min, rows)), max(map(max, rows))
+            if lo < 0 or hi >= len(rows):
+                raise UnknownState(f"transition target {lo if lo < 0 else hi!r} out of range")
+        number, canon = _explore(initial, rows.__getitem__)
+        self.delta = tuple(map(tuple, canon))
+        self._letter = {ch: a for a, ch in enumerate(self.alphabet)}
+        self._hash = hash((self.alphabet, self.delta))
+        return number
+
+    @property
+    def n(self):
+        return len(self.delta)
+
+    @property
+    def index(self):
+        return len(self.delta)
 
     def letter(self, sym):
         try:
-            return self.alphabet.index(sym)
-        except ValueError:
+            return self._letter[sym]
+        except KeyError:
             raise SymbolOutsideAlphabet(sym, self.alphabet) from None
 
-    def run(self, word, start=None):
-        s = self.initial if start is None else start
+    def run(self, word, start=0):
+        s = start
         for ch in word:
             s = self.delta[s][self.letter(ch)]
         return s
+
+    def related(self, u, v):
+        return self.run(u) == self.run(v)
+
+    def witnesses(self):
+        """Shortlex-least word reaching each state; state i gets the i-th."""
+        return _witnesses(self.delta, self.alphabet)
+
+    def is_total(self):
+        return self.n == 1
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self.alphabet == other.alphabet and self.delta == other.delta)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"RightCongruence(index={self.n}, alphabet={''.join(self.alphabet)!r})"
+
+
+class Dfa(RightCongruence):
+    """A complete DFA: a right congruence (its reachable part, canonically
+    numbered) plus a set of accepting states.
+
+    States are 0..n-1 with 0 initial; `delta` is a state-major tuple of
+    tuples indexed by letter position.  A Dfa never equals a RightCongruence.
+    """
+
+    __slots__ = ("accepting",)
+
+    def __init__(self, alphabet, n, initial, accepting, delta):
+        rows = list(delta)
+        number = self._canonize(alphabet, rows, initial)
+        if len(rows) != n:
+            raise UnknownState(f"transition table has {len(rows)} rows for {n} states")
+        for s in accepting:
+            if not 0 <= s < n:
+                raise UnknownState(f"accepting state {s!r} out of range")
+        self.accepting = frozenset(number[s] for s in accepting if s in number)
+        self._hash = hash((self.alphabet, self.delta, self.accepting))
 
     def accepts(self, word):
         return self.run(word) in self.accepting
 
     def __eq__(self, other):
-        return (isinstance(other, Dfa) and self.alphabet == other.alphabet
-                and self.delta == other.delta and self.accepting == other.accepting)
+        return super().__eq__(other) and self.accepting == other.accepting
 
-    def __hash__(self):
-        return hash((self.alphabet, self.delta, self.accepting))
+    __hash__ = RightCongruence.__hash__
 
     def __repr__(self):
         return f"Dfa({self.n} states over {''.join(self.alphabet)!r})"
@@ -330,8 +419,11 @@ def minimize(d):
 # regex -> minimal DFA
 # ---------------------------------------------------------------------------
 
-def _thompson(tree, symbols):
-    """Thompson construction: returns (state count, eps, trans, start, accept)."""
+def _thompson(tree):
+    """Thompson construction: returns (eps, trans, start, accept).
+
+    Built bottom-up with an explicit stack, so a long concatenation or a deep
+    tree does not meet the interpreter's recursion limit."""
     eps = []
     trans = []
 
@@ -340,40 +432,47 @@ def _thompson(tree, symbols):
         trans.append({})
         return len(eps) - 1
 
-    def build(node):
-        if isinstance(node, EmptyLang):
-            return new_state(), new_state()
-        if isinstance(node, EmptyWord):
+    built = []  # (start, accept) of each finished subtree, innermost last
+    todo = [(tree, False)]
+    while todo:
+        node, ready = todo.pop()
+        if not ready and isinstance(node, (Concat, Alt)):
+            todo += [(node, True), (node.right, False), (node.left, False)]
+        elif not ready and isinstance(node, Star):
+            todo += [(node, True), (node.inner, False)]
+        elif isinstance(node, EmptyLang):
+            built.append((new_state(), new_state()))
+        elif isinstance(node, EmptyWord):
             s, t = new_state(), new_state()
             eps[s].add(t)
-            return s, t
-        if isinstance(node, Sym):
+            built.append((s, t))
+        elif isinstance(node, Sym):
             s, t = new_state(), new_state()
-            trans[s][node.ch] = trans[s].get(node.ch, set()) | {t}
-            return s, t
-        if isinstance(node, Concat):
-            s1, t1 = build(node.left)
-            s2, t2 = build(node.right)
+            trans[s].setdefault(node.ch, set()).add(t)
+            built.append((s, t))
+        elif isinstance(node, Concat):
+            s2, t2 = built.pop()
+            s1, t1 = built.pop()
             eps[t1].add(s2)
-            return s1, t2
-        if isinstance(node, Alt):
+            built.append((s1, t2))
+        elif isinstance(node, Alt):
+            s2, t2 = built.pop()
+            s1, t1 = built.pop()
             s, t = new_state(), new_state()
-            s1, t1 = build(node.left)
-            s2, t2 = build(node.right)
             eps[s] |= {s1, s2}
             eps[t1].add(t)
             eps[t2].add(t)
-            return s, t
-        if isinstance(node, Star):
+            built.append((s, t))
+        elif isinstance(node, Star):
+            s1, t1 = built.pop()
             s, t = new_state(), new_state()
-            s1, t1 = build(node.inner)
             eps[s] |= {s1, t}
             eps[t1] |= {s1, t}
-            return s, t
-        raise TypeError(f"not a regex node: {node!r}")
-
-    start, accept = build(tree)
-    return len(eps), eps, trans, start, accept
+            built.append((s, t))
+        else:
+            raise TypeError(f"not a regex node: {node!r}")
+    start, accept = built.pop()
+    return eps, trans, start, accept
 
 
 def _eps_closure(eps, states):
@@ -397,139 +496,38 @@ def regex_to_min_dfa(tree, alphabet):
     symbols = _check_alphabet(alphabet)
     if isinstance(tree, str):
         tree = parse_regex(tree, symbols)
-    _, eps, trans, start, accept = _thompson(tree, symbols)
-    start_set = _eps_closure(eps, {start})
-    numbering = {start_set: 0}
-    sets = [start_set]
-    rows = []
-    i = 0
-    while i < len(sets):
-        cur = sets[i]
-        i += 1
-        row = []
-        for ch in symbols:
-            moved = set()
-            for s in cur:
-                moved |= trans[s].get(ch, set())
-            nxt = _eps_closure(eps, moved)
-            if nxt not in numbering:
-                numbering[nxt] = len(sets)
-                sets.append(nxt)
-            row.append(numbering[nxt])
-        rows.append(row)
-    accepting = {i for i, ss in enumerate(sets) if accept in ss}
-    d = Dfa(symbols, len(sets), 0, accepting, rows)
-    return minimize(d)
+    eps, trans, start, accept = _thompson(tree)
+
+    def successors(subset):
+        return [_eps_closure(eps, set().union(*(trans[s].get(ch, ()) for s in subset)))
+                for ch in symbols]
+
+    number, rows = _explore(_eps_closure(eps, {start}), successors)
+    accepting = {i for i, subset in enumerate(number) if accept in subset}
+    return minimize(Dfa(symbols, len(rows), 0, accepting, rows))
 
 
 # ---------------------------------------------------------------------------
 # right congruences
 # ---------------------------------------------------------------------------
 
-class RightCongruence:
-    """A finite-index right congruence on S*, i.e. a pointed accessible
-    deterministic transition system in canonical (BFS shortlex) numbering.
-
-    The initial state is always 0, so two values are structurally equal iff
-    the pointed automata are isomorphic.  ``index`` (= the number of states)
-    is the number of congruence classes.
-    """
-
-    __slots__ = ("alphabet", "delta", "_hash")
-
-    def __init__(self, alphabet, delta_rows, initial=0):
-        self.alphabet = _check_alphabet(alphabet)
-        rows = [tuple(row) for row in delta_rows]
-        if not rows or any(len(r) != len(self.alphabet) for r in rows):
-            raise UnknownState("transition table shape does not match alphabet")
-        if not 0 <= initial < len(rows):
-            raise UnknownState(f"initial state {initial!r} out of range")
-        order, number = _bfs_order(len(rows), rows, initial)
-        self.delta = tuple(tuple(number[rows[s][a]] for a in range(len(self.alphabet)))
-                           for s in order)
-        self._hash = hash((self.alphabet, self.delta))
-
-    @classmethod
-    def top(cls, alphabet):
-        symbols = _check_alphabet(alphabet)
-        return cls(symbols, [tuple(0 for _ in symbols)])
-
-    @property
-    def n(self):
-        return len(self.delta)
-
-    @property
-    def index(self):
-        return len(self.delta)
-
-    def letter(self, sym):
-        try:
-            return self.alphabet.index(sym)
-        except ValueError:
-            raise SymbolOutsideAlphabet(sym, self.alphabet) from None
-
-    def run(self, word, start=0):
-        s = start
-        for ch in word:
-            s = self.delta[s][self.letter(ch)]
-        return s
-
-    def related(self, u, v):
-        return self.run(u) == self.run(v)
-
-    def witnesses(self):
-        """Shortlex-least word reaching each state; state i gets the i-th."""
-        out = [None] * self.n
-        out[0] = ""
-        queue = [0]
-        i = 0
-        while i < len(queue):
-            s = queue[i]
-            i += 1
-            for a, ch in enumerate(self.alphabet):
-                t = self.delta[s][a]
-                if out[t] is None:
-                    out[t] = out[s] + ch
-                    queue.append(t)
-        return tuple(out)
-
-    def is_total(self):
-        return self.n == 1
-
-    def __eq__(self, other):
-        return (isinstance(other, RightCongruence)
-                and self.alphabet == other.alphabet and self.delta == other.delta)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"RightCongruence(index={self.n}, alphabet={''.join(self.alphabet)!r})"
-
-
 def top_congruence(alphabet):
-    return RightCongruence.top(alphabet)
+    """The total congruence: one class, every letter a self-loop."""
+    symbols = _check_alphabet(alphabet)
+    return RightCongruence(symbols, [(0,) * len(symbols)])
 
 
 def nerode_congruence(d):
     """States of the minimal DFA with acceptance forgotten but kept distinct:
     u ~ v iff the residuals after u and v coincide."""
     m = minimize(d)
-    return RightCongruence(m.alphabet, m.delta, m.initial)
+    return RightCongruence(m.alphabet, m.delta)
 
 
 def state_congruence(x, q):
     """The congruence relating u, v iff q.u = q.v: the accessible part of x
     pointed at q.  Accepts a Dfa or a RightCongruence."""
-    if isinstance(x, Dfa):
-        rows, count = x.delta, x.n
-    elif isinstance(x, RightCongruence):
-        rows, count = x.delta, x.n
-    else:
-        raise TypeError(f"expected Dfa or RightCongruence, got {type(x).__name__}")
-    if not 0 <= q < count:
-        raise UnknownState(f"state {q!r} out of range")
-    return RightCongruence(x.alphabet, rows, q)
+    return RightCongruence(x.alphabet, x.delta, q)
 
 
 def congruence_action(rc, word):
@@ -546,22 +544,8 @@ def _check_same_alphabet(a, b):
 def congruence_meet(rc1, rc2):
     """Intersection of the relations: reachable part of the pointed product."""
     _check_same_alphabet(rc1, rc2)
-    k = len(rc1.alphabet)
-    numbering = {(0, 0): 0}
-    pairs = [(0, 0)]
-    rows = []
-    i = 0
-    while i < len(pairs):
-        p, q = pairs[i]
-        i += 1
-        row = []
-        for a in range(k):
-            nxt = (rc1.delta[p][a], rc2.delta[q][a])
-            if nxt not in numbering:
-                numbering[nxt] = len(pairs)
-                pairs.append(nxt)
-            row.append(numbering[nxt])
-        rows.append(row)
+    d1, d2 = rc1.delta, rc2.delta
+    _, rows = _explore((0, 0), lambda pq: zip(d1[pq[0]], d2[pq[1]]))
     return RightCongruence(rc1.alphabet, rows)
 
 
@@ -594,16 +578,17 @@ def congruence_leq(rc1, rc2):
 # ---------------------------------------------------------------------------
 
 class TransitionMonoid:
-    """The monoid of state transformations realized by words, each element
-    stored with its shortlex-least witness word.  Element 0 is the identity;
-    ``letter_indices[a]`` locates the transformation of the a-th letter."""
+    """The monoid of state transformations realized by words, numbered
+    breadth-first from the identity (element 0), each element stored with its
+    shortlex-least witness word.  ``rows[i][a]`` is the element realized by
+    witness i followed by the a-th letter: the right Cayley graph."""
 
-    def __init__(self, alphabet, elements, witnesses, letter_indices):
+    def __init__(self, alphabet, number, rows):
         self.alphabet = tuple(alphabet)
-        self.elements = tuple(tuple(e) for e in elements)
-        self.witnesses = tuple(witnesses)
-        self.letter_indices = tuple(letter_indices)
-        self._index = {e: i for i, e in enumerate(self.elements)}
+        self.elements = tuple(number)
+        self.witnesses = _witnesses(rows, self.alphabet)
+        self._index = number
+        self._rows = rows
         self._table = None
 
     @property
@@ -612,8 +597,7 @@ class TransitionMonoid:
 
     def mult(self, i, j):
         """Index of the element realized by witness_i followed by witness_j."""
-        ei, ej = self.elements[i], self.elements[j]
-        return self._index[tuple(ej[s] for s in ei)]
+        return self._index[tuple(map(self.elements[j].__getitem__, self.elements[i]))]
 
     def table(self):
         """Full composition table; quadratic, built on demand."""
@@ -624,9 +608,7 @@ class TransitionMonoid:
 
     def cayley_congruence(self):
         """Right-multiplication Cayley structure pointed at the identity."""
-        rows = [[self.mult(i, li) for li in self.letter_indices]
-                for i in range(self.order)]
-        return RightCongruence(self.alphabet, rows)
+        return RightCongruence(self.alphabet, self._rows)
 
     def __repr__(self):
         return f"TransitionMonoid(order={self.order})"
@@ -636,26 +618,11 @@ def transition_monoid(alphabet, delta_rows):
     """Close the letter transformations under composition, breadth-first in
     shortlex order so the recorded witnesses are least."""
     symbols = _check_alphabet(alphabet)
-    count = len(delta_rows)
-    k = len(symbols)
-    letters = [tuple(delta_rows[s][a] for s in range(count)) for a in range(k)]
-    identity = tuple(range(count))
-    elements = [identity]
-    witnesses = [""]
-    index = {identity: 0}
-    i = 0
-    while i < len(elements):
-        f = elements[i]
-        w = witnesses[i]
-        i += 1
-        for a in range(k):
-            g = tuple(letters[a][f[s]] for s in range(count))
-            if g not in index:
-                index[g] = len(elements)
-                elements.append(g)
-                witnesses.append(w + symbols[a])
-    return TransitionMonoid(symbols, elements, witnesses,
-                            [index[letters[a]] for a in range(k)])
+    letters = list(zip(*delta_rows))
+    identity = tuple(range(len(delta_rows)))
+    number, rows = _explore(
+        identity, lambda f: [tuple(map(a.__getitem__, f)) for a in letters])
+    return TransitionMonoid(symbols, number, rows)
 
 
 def syntactic_congruence(d):
@@ -672,26 +639,15 @@ def syntactic_congruence(d):
 
 def orbit_of(rc):
     """The (finite) orbit { rc * w }: one congruence per state, deduplicated."""
-    seen = set()
-    orbit = []
-    for q in range(rc.n):
-        cg = state_congruence(rc, q)
-        if cg not in seen:
-            seen.add(cg)
-            orbit.append(cg)
-    return orbit
+    return list(dict.fromkeys(state_congruence(rc, q) for q in range(rc.n)))
 
 
-def orbit_meet_check(rc):
-    """Fold the meet over the orbit of rc and compare with the syntactic
-    congruence computed through the transition monoid.  Returns the meet and
-    whether the two routes agree."""
-    orbit = orbit_of(rc)
-    meet = orbit[0]
-    for other in orbit[1:]:
-        meet = congruence_meet(meet, other)
-    tm = transition_monoid(rc.alphabet, rc.delta)
-    return meet, meet == tm.cayley_congruence()
+def orbit_meet_check(rc, syn):
+    """Fold the meet over the orbit of rc and compare it with syn, the
+    syntactic congruence the caller computed through the transition monoid.
+    Returns the meet and whether the two routes agree."""
+    meet = functools.reduce(congruence_meet, orbit_of(rc))
+    return meet, meet == syn
 
 
 def words_normalization_operator(rc):

@@ -162,8 +162,8 @@ def test_criterion_8_words_suite():
         if not (rc.index == d.n == residual_count_dfa(d)):
             ok = False
             break
-        met, agrees = orbit_meet_check(rc)
         tm, syn = syntactic_congruence(d)
+        met, agrees = orbit_meet_check(rc, syn)
         if not agrees or met != syn:
             ok = False
             break

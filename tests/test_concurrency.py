@@ -7,7 +7,12 @@ from toposlsc import fixtures
 from toposlsc.lsc import build_lsc, xi_component
 from toposlsc.fincat import quotient_of_representable
 from toposlsc.normalize import normalization_operator
-from toposlsc.words import nerode_congruence, orbit_meet_check, random_min_dfa
+from toposlsc.words import (
+    nerode_congruence,
+    orbit_meet_check,
+    random_min_dfa,
+    syntactic_congruence,
+)
 
 
 def test_concurrent_classification_matches_serial():
@@ -27,9 +32,10 @@ def test_concurrent_classification_matches_serial():
 
 def test_concurrent_orbit_meets_match_serial():
     rng = random.Random(7)
-    congruences = [nerode_congruence(random_min_dfa(rng, 5, "ab"))
-                   for _ in range(12)]
-    serial = [orbit_meet_check(rc) for rc in congruences]
+    dfas = [random_min_dfa(rng, 5, "ab") for _ in range(12)]
+    congruences = [nerode_congruence(d) for d in dfas]
+    syntactic = [syntactic_congruence(d)[1] for d in dfas]
+    serial = [orbit_meet_check(rc, syn) for rc, syn in zip(congruences, syntactic)]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = list(pool.map(orbit_meet_check, congruences))
+        parallel = list(pool.map(orbit_meet_check, congruences, syntactic))
     assert serial == parallel

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from toposlsc.errors import InputFormatError
 from toposlsc.lsc import build_lsc
 from toposlsc.reports import lsc_report, render_machine, words_report
 from toposlsc.words import regex_to_min_dfa
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # --- file formats ------------------------------------------------------------
@@ -107,6 +111,23 @@ def test_filter_selection_load():
         io.load_filter_selection(L, {"E": [99]})
     with pytest.raises(InputFormatError):
         io.load_filter_selection(L, {"W": [0]})
+
+
+@pytest.mark.parametrize("load,data", [
+    ("presheaf", {"sets": 3, "actions": {}}),
+    ("presheaf", {"sets": {}, "actions": 3}),
+    ("presheaf", {"sets": {"V": "pq"}, "actions": {}}),
+    ("presheaf", {"sets": {}, "actions": {"s": ["e", "p"]}}),
+    ("filter", {"E": 3}),
+    ("filter", {"E": [True]}),
+])
+def test_library_loaders_reject_wrongly_typed_fields(load, data):
+    L = build_lsc(fixtures.graph_site())
+    with pytest.raises(InputFormatError):
+        if load == "presheaf":
+            io.load_presheaf(L.site, data)
+        else:
+            io.load_filter_selection(L, data)
 
 
 def test_bad_json_reports_details(tmp_path):
@@ -316,3 +337,46 @@ def test_cli_budget_below_one_exits_2(tmp_path, capsys, monkeypatch, budget):
     monkeypatch.setenv("TOPOS_LSC_BUDGET", budget)
     assert main(["group", str(path)]) == 2
     assert "below 1" in capsys.readouterr().err
+
+
+def test_cli_long_flat_regex_compiles(capsys):
+    assert main(["words", "--regex", "a*" * 1500, "--alphabet", "ab"]) == 0
+
+
+def test_cli_deeply_nested_regex_exits_2(capsys):
+    regex = "(" * 1200 + "a" + ")" * 1200
+    assert main(["words", "--regex", regex, "--alphabet", "a"]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
+# sha256 of `--format machine` reports on demos/data, run from the repository
+# root with relative paths (the words payload records the path it was given)
+DEMO_REPORT_DIGESTS = {
+    ("lsc", "chain3.cat"): "51a5a0b692181cf1233cdd007b2a76292bf7d82e6cba7fe0b6869b4771907f18",
+    ("lsc", "graph.cat"): "db75c0c0e365d48ace0e5d157ca71f2b59d0af0e941c2bb43aee8b28fd9300d1",
+    ("lsc", "idempotent.cat"): "750d3d7260705f7422fda1cd289ec3face3947bb0f128364da2320e8c7e7afa9",
+    ("group", "d4.group"): "64ed7ac02b058dd3dc07e195e33e1dbe11e3d55e92556d645185b8dfc6258b0e",
+    ("group", "q8.group"): "8d9ab3d972617a2d3c03d4680b9135ab6cf79bd5a21cd6f2d28df910c27d2aed",
+    ("group", "s3.group"): "2da75423cdd3c0f20b5f6c9bc6344066bf870f612a88be3ae8089024d348bd3c",
+    ("group", "z4.group"): "da30075e64b2fef0679f4de7c5149fea4722889d595c69edd2562fc8a7bd4ab3",
+    ("words", "abstar.dfa"): "a38fe9eb994e5e0537fbb25711140353cdfeb1b77dd8db153c8f54a6beff6101",
+    ("words", "ends_in_a.dfa"): "034ee4aa71a0cb401aae714615de7b4eb8350178107ab8870568c96c3198c47b",
+}
+
+
+def test_demo_report_digests_cover_demos_data():
+    suffixes = {".cat": "lsc", ".group": "group", ".dfa": "words"}
+    files = {(suffixes[p.suffix], p.name) for p in (ROOT / "demos" / "data").iterdir()
+             if p.suffix in suffixes}
+    assert files == set(DEMO_REPORT_DIGESTS)
+
+
+@pytest.mark.parametrize("command,name", sorted(DEMO_REPORT_DIGESTS))
+def test_cli_machine_report_on_demo_data_is_pinned(capsys, monkeypatch, command, name):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("TOPOS_LSC_BUDGET", raising=False)
+    path = f"demos/data/{name}"
+    argv = ["words", "--dfa", path] if command == "words" else [command, path]
+    assert main(["--format", "machine", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DEMO_REPORT_DIGESTS[command, name]

@@ -10,7 +10,10 @@ from toposlsc.errors import (
     SymbolOutsideAlphabet,
     UnknownState,
 )
+from toposlsc import words
+from toposlsc.reports import words_report
 from toposlsc.words import (
+    MAX_GROUP_DEPTH,
     Alt,
     Concat,
     Dfa,
@@ -75,6 +78,15 @@ def test_symbol_outside_alphabet_is_its_own_error():
     assert err.value.symbol == "c" and err.value.position == 1
 
 
+def test_long_regex_compiles_and_deep_nesting_is_a_syntax_error():
+    assert regex_to_min_dfa("a" * 1500, "a").n == 1502
+    deepest = "(" * MAX_GROUP_DEPTH + "a" + ")" * MAX_GROUP_DEPTH
+    assert parse_regex(deepest, "a") == Sym("a")
+    with pytest.raises(RegexSyntaxError) as err:
+        parse_regex("(" + deepest + ")", "a")
+    assert err.value.position == MAX_GROUP_DEPTH
+
+
 # --- compilation, cross-checked against the naive matcher -----------------------
 
 FIXED_REGEXES = ["(ab)*", "(a|b)*a", "a*", "#e", "#0", "a(a|b)*", "b(ab)*",
@@ -117,6 +129,22 @@ def test_dfa_validation():
         Dfa("ab", 2, 0, {3}, [[0, 1], [1, 0]])
     with pytest.raises(AlphabetMismatch):
         Dfa("aa", 1, 0, set(), [[0, 0]])
+
+
+@pytest.mark.parametrize("rows", [[[0, -1]], [[0, 5]], [[0, 1], [1, 2]]])
+def test_out_of_range_targets_are_unknown_states(rows):
+    with pytest.raises(UnknownState):
+        RightCongruence("ab", rows)
+    with pytest.raises(UnknownState):
+        Dfa("ab", len(rows), 0, set(), rows)
+
+
+def test_dfa_and_congruence_are_never_equal():
+    d = regex_to_min_dfa("(ab)*", "ab")
+    rc = RightCongruence(d.alphabet, d.delta)
+    assert d != rc and rc != d and nerode_congruence(d) == rc
+    assert d == Dfa(d.alphabet, d.n, 0, d.accepting, d.delta)
+    assert d != Dfa(d.alphabet, d.n, 0, set(), d.delta)
 
 
 def test_dfa_trims_unreachable_states():
@@ -237,17 +265,48 @@ def test_syntactic_refines_nerode():
 
 def test_orbit_meet_equals_syntactic_on_fixtures():
     for expr in ("(ab)*", "(a|b)*a", "(a|b)*", "a*b*", "(a|b)*abb"):
-        rc = nerode_congruence(regex_to_min_dfa(expr, "ab"))
-        met, agrees = orbit_meet_check(rc)
+        d = regex_to_min_dfa(expr, "ab")
+        rc = nerode_congruence(d)
+        _, syn = syntactic_congruence(d)
+        met, agrees = orbit_meet_check(rc, syn)
         assert agrees, expr
-        _, syn = syntactic_congruence(regex_to_min_dfa(expr, "ab"))
         assert met == syn
 
 
 def test_orbit_of_ab_star_has_three_elements():
     rc = nerode_congruence(regex_to_min_dfa("(ab)*", "ab"))
     assert len(orbit_of(rc)) == 3
-    assert orbit_meet_check(top_congruence("ab")) == (top_congruence("ab"), True)
+    top = top_congruence("ab")
+    assert orbit_meet_check(top, top) == (top, True)
+
+
+def test_words_report_builds_one_transition_monoid(monkeypatch):
+    built = []
+    real = words.transition_monoid
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(words, "transition_monoid", counting)
+    words_report(regex_to_min_dfa("(ab)*", "ab"))
+    assert len(built) == 1
+
+
+def test_orbit_size_and_monoid_table_on_random_dfas():
+    rng = random.Random(2718)
+    for i in range(30):
+        d = random_min_dfa(rng, 4, "ab" if i % 2 else "abc")
+        rc = nerode_congruence(d)
+        assert len(orbit_of(rc)) == words_normalization_operator(rc).index
+        tm, syn = syntactic_congruence(d)
+        # the Cayley structure reads each witness back to its own element
+        assert [syn.run(w) for w in tm.witnesses] == list(range(tm.order))
+        table = tm.table()
+        for i, wi in enumerate(tm.witnesses):
+            for j, wj in enumerate(tm.witnesses):
+                reached = tuple(d.run(wi + wj, start=s) for s in range(d.n))
+                assert tm.elements[table[i][j]] == reached
 
 
 def test_orbit_meet_scales_to_a_large_transition_monoid():
@@ -257,10 +316,11 @@ def test_orbit_meet_scales_to_a_large_transition_monoid():
     d = minimize(Dfa("ab", 6, 0, {0, 3}, delta))
     assert d.n == 6
     rc = nerode_congruence(d)
-    meet, agrees = orbit_meet_check(rc)
+    tm, syn = syntactic_congruence(d)
+    meet, agrees = orbit_meet_check(rc, syn)
     assert agrees
     assert meet.index == 32262
-    assert meet.index == transition_monoid(rc.alphabet, rc.delta).order
+    assert meet.index == tm.order
 
 
 # --- normalization on words ----------------------------------------------------------------------
@@ -341,8 +401,8 @@ def test_action_never_raises_index(seed):
 @given(small_seeds)
 def test_orbit_meet_identity_on_random_dfas(seed):
     rng = random.Random(seed)
-    rc = nerode_congruence(random_min_dfa(rng, 5, "ab"))
-    assert orbit_meet_check(rc)[1]
+    d = random_min_dfa(rng, 5, "ab")
+    assert orbit_meet_check(nerode_congruence(d), syntactic_congruence(d)[1])[1]
 
 
 @settings(max_examples=25, deadline=None)
