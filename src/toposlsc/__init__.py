@@ -39,7 +39,6 @@ from .fincat import (
     enumerate_quotient_objects,
     equalizer,
     image_quotient,
-    is_mono,
     product,
     quotient_of_representable,
     representable,

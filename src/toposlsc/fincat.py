@@ -68,7 +68,6 @@ class FiniteCategory:
             self._hom.setdefault((s, d), []).append(name)
         self._into = {c: tuple(n for n, _, d in self.morphisms if d == c)
                       for c in self.objects}
-        self._generators = None
 
         if check:
             self.validate()
@@ -155,39 +154,6 @@ class FiniteCategory:
             raise bad[0]
         return self
 
-    # -- generators ----------------------------------------------------------
-
-    def generators(self):
-        """A generating set of morphisms: every morphism is a composite of
-        identities and generators.  Greedy, deterministic, usually small."""
-        if self._generators is None:
-            gens = []
-            reachable = set(self.identities.values())
-            for name, _, _ in self.morphisms:
-                if name in reachable:
-                    continue
-                gens.append(name)
-                # re-close under composition
-                frontier = True
-                reachable.add(name)
-                while frontier:
-                    frontier = False
-                    for g in list(reachable):
-                        for f in list(reachable):
-                            if self.dst[f] == self.src[g]:
-                                h = self.composition[(g, f)]
-                                if h not in reachable:
-                                    reachable.add(h)
-                                    frontier = True
-            self._generators = tuple(gens)
-        return self._generators
-
-    def generators_by_dst(self):
-        by = {c: [] for c in self.objects}
-        for g in self.generators():
-            by[self.dst[g]].append(g)
-        return by
-
     def __repr__(self):
         return (f"FiniteCategory({len(self.objects)} objects, "
                 f"{len(self.morphisms)} morphisms)")
@@ -244,8 +210,9 @@ class Presheaf:
             if set(table) != set(self.carrier[d]):
                 raise FunctorialityViolation(
                     f"action of {name!r} is not defined on exactly X({d!r})")
+            targets = set(self.carrier[s])
             for x in self.carrier[d]:
-                if table[x] not in set(self.carrier[s]):
+                if table[x] not in targets:
                     raise FunctorialityViolation(
                         f"action of {name!r} sends {x!r} outside X({s!r})")
         for c in site.objects:
@@ -300,8 +267,9 @@ class PresheafMorphism:
             comp = self.components[c]
             if set(comp) != set(self.source.elements(c)):
                 raise NaturalityViolation(f"component at {c!r} not defined on X({c!r})")
+            targets = set(self.target.elements(c))
             for x in self.source.elements(c):
-                if comp[x] not in set(self.target.elements(c)):
+                if comp[x] not in targets:
                     raise NaturalityViolation(f"component at {c!r} escapes Y({c!r})")
         for name, s, d in site.morphisms:
             for x in self.source.elements(d):
@@ -373,6 +341,23 @@ class RepCongruence:
         return cls(site, c, blocks)
 
     @classmethod
+    def from_pairs(cls, site, c, pairs):
+        """The least equivalence relation on y(c) relating each pair of
+        parallel arrows in ``pairs``."""
+        parent = {u: u for u in site.morphisms_into(c)}
+
+        def find(u):
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            return u
+
+        for u, v in pairs:
+            if u not in parent or v not in parent or site.src[u] != site.src[v]:
+                raise UnknownMorphism(f"{u!r}, {v!r} are not parallel arrows into {c!r}")
+            parent[find(u)] = find(v)
+        return cls.from_labels(site, c, find)
+
+    @classmethod
     def discrete(cls, site, c):
         return cls.from_labels(site, c, lambda u: u)
 
@@ -440,6 +425,22 @@ class RepCongruence:
         return RepCongruence.from_labels(
             self.site, self.base_object,
             lambda u: (self._block_of[u], other._block_of[u]))
+
+    def join(self, other):
+        """Least common coarsening: the equivalence closure of the union.
+
+        It is right-compatible with no further closure, since a chain
+        u ~ w ~ ... ~ v of related arrows stays a chain after composing each
+        link with g on the right; so the join of two congruences in Xi(c)
+        is the plain partition join, their least upper bound under ``leq``.
+        """
+        if other.base_object != self.base_object:
+            raise ObjectMismatch(
+                f"join of congruences at {self.base_object!r} and {other.base_object!r}")
+        return RepCongruence.from_pairs(
+            self.site, self.base_object,
+            [(b[0], u) for q in (self, other)
+             for c in self.site.objects for b in q.blocks[c] for u in b[1:]])
 
     def leq(self, other):
         """Relation inclusion: self is a refinement of other."""
@@ -528,60 +529,34 @@ def quotient_of_representable(q):
 # enumeration of quotient objects
 # ---------------------------------------------------------------------------
 
-def _find(parent, u):
-    root = u
-    while parent[root] != root:
-        root = parent[root]
-    while parent[u] != root:
-        parent[u], u = root, parent[u]
-    return root
-
-
-def _close_merge(cat, parent, pairs):
-    """Union the given pairs and close under right composition by generators."""
-    gens_by_dst = cat.generators_by_dst()
-    stack = list(pairs)
-    while stack:
-        u, v = stack.pop()
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru == rv:
-            continue
-        parent[ru] = rv
-        a = cat.src[u]
-        for g in gens_by_dst[a]:
-            stack.append((cat.compose(u, g), cat.compose(v, g)))
-
-
-def _congruence_from_parent(cat, c, parent):
-    return RepCongruence.from_labels(cat, c, lambda u: _find(parent, u))
-
-
 def enumerate_quotient_objects(cat, c, cap=DEFAULT_BUDGET):
     """All right-compatible partitions of y(c), canonical and deterministic.
 
-    Grows congruences from the discrete one by merging a pair and closing
-    under right compatibility; every congruence is reachable this way because
-    each merge-and-close step stays below the congruence it is aiming for.
+    Every right congruence is the join of the principal congruences
+    theta(u, v) of the pairs it relates, so Xi(c) is the closure of the
+    discrete congruence under joins with the principals.  theta(u, v) is the
+    equivalence closure of the pairs (u*g, v*g), which are already closed
+    under right composition, and a join needs no re-closure either: each
+    principal is computed once and the search only joins partitions.
     """
     elems = cat.morphisms_into(c)
     if len(elems) > cap:
         raise BudgetExceeded(len(elems), cap)
+    principals = dict.fromkeys(
+        RepCongruence.from_pairs(cat, c, [(cat.compose(u, g), cat.compose(v, g))
+                                          for g in cat.morphisms_into(a)])
+        for a in cat.objects
+        for hom in [cat.hom(a, c)]
+        for i, u in enumerate(hom) for v in hom[i + 1:])
     discrete = RepCongruence.discrete(cat, c)
     seen = {discrete}
     queue = [discrete]
-    pair_pool = [(u, v)
-                 for a in cat.objects
-                 for hom in [cat.hom(a, c)]
-                 for i, u in enumerate(hom) for v in hom[i + 1:]]
     while queue:
         q = queue.pop()
-        base = [(b[0], w) for a in cat.objects for b in q.blocks[a] for w in b[1:]]
-        for u, v in pair_pool:
-            if q.related(u, v):
+        for p in principals:
+            if p.leq(q):
                 continue
-            parent = {m: m for m in elems}
-            _close_merge(cat, parent, base + [(u, v)])
-            q2 = _congruence_from_parent(cat, c, parent)
+            q2 = q.join(p)
             if q2 not in seen:
                 seen.add(q2)
                 queue.append(q2)
@@ -733,7 +708,3 @@ def enumerate_morphisms(X, Y, *, injective_only=False, limit=None):
 
     extend(0)
     return results
-
-
-def is_mono(m):
-    return m.is_mono()

@@ -166,22 +166,25 @@ def generated_subgroup(G, gens):
 
 
 def subgroups(G):
-    """All subgroups, by closing the cyclic ones under pairwise joins.
+    """All subgroups, as the joins of cyclic subgroups.
 
-    Every subgroup is a join of cyclic subgroups of its own elements, and
-    finite joins are reached by iterating pairwise joins, so the fixed point
-    is complete.
+    Every subgroup is the join of the cyclic subgroups of its own elements,
+    so closing the trivial subgroup under joins with cyclic subgroups, one
+    at a time, reaches each of them.
     """
-    found = {generated_subgroup(G, [g]) for g in G.elements}
-    found.add(Subgroup(G, {G.identity}))
-    grew = True
-    while grew:
-        grew = False
-        for H, K in itertools.combinations(list(found), 2):
-            J = generated_subgroup(G, H.members | K.members)
+    cyclic = dict.fromkeys(generated_subgroup(G, [g]) for g in G.elements)
+    trivial = Subgroup(G, {G.identity})
+    found = {trivial}
+    queue = [trivial]
+    while queue:
+        H = queue.pop()
+        for C in cyclic:
+            if C <= H:
+                continue
+            J = generated_subgroup(G, H.members | C.members)
             if J not in found:
                 found.add(J)
-                grew = True
+                queue.append(J)
     return tuple(sorted(found, key=lambda H: (H.order, H.sorted_members)))
 
 

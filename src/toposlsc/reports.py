@@ -19,12 +19,12 @@ from .normalize import (
     subgroups,
 )
 from .words import (
+    RightCongruence,
     congruence_leq,
     minimize,
-    nerode_congruence,
     orbit_meet_check,
     residual_count_dfa,
-    syntactic_congruence,
+    transition_monoid,
     words_normalization_operator,
 )
 
@@ -109,8 +109,11 @@ def words_report(d, source=None):
     """Minimal DFA, Nerode index, syntactic monoid data, orbit size,
     normalization image, and the standard verdicts."""
     m = minimize(d)
-    rc = nerode_congruence(m)
-    tm, syn = syntactic_congruence(m)
+    # m is minimal: its states are the Nerode classes and its transition
+    # monoid is the syntactic monoid, so neither is minimized again
+    rc = RightCongruence(m.alphabet, m.delta)
+    tm = transition_monoid(m.alphabet, m.delta)
+    syn = tm.cayley_congruence()
     _, agrees = orbit_meet_check(rc, syn)
     normalized = words_normalization_operator(rc)
     cert = Certificate("words")

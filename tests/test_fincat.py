@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -11,6 +12,7 @@ from toposlsc.errors import (
     IllTypedComposite,
     NonRepresentableSource,
     NotParallel,
+    ObjectMismatch,
     UnknownObject,
 )
 from toposlsc.fincat import (
@@ -29,6 +31,7 @@ from toposlsc.fincat import (
     validate_category,
     yoneda_morphism,
 )
+from toposlsc.normalize import monoid_site
 
 
 # --- independent oracle: Bell-number partition enumeration -------------------
@@ -70,6 +73,18 @@ def graph():
 @pytest.fixture(scope="module")
 def idem():
     return fixtures.idempotent_monoid_site()
+
+
+def full_transformation_monoid(then):
+    """T3, all 27 maps of {0, 1, 2}, named by their image strings ("012" is
+    the identity); a*b is "a then b" if ``then``, else "a after b"."""
+    names = ["".join(map(str, f)) for f in itertools.product(range(3), repeat=3)]
+
+    def mult(a, b):
+        first, second = (a, b) if then else (b, a)
+        return "".join(second[int(first[i])] for i in range(3))
+
+    return monoid_site(names, mult)
 
 
 # --- category validation -------------------------------------------------------
@@ -220,6 +235,20 @@ def test_enumeration_matches_brute_force_on_small_sites(graph, idem):
         assert set(enumerate_quotient_objects(site, c)) == brute_quotient_objects(site, c)
 
 
+SMALL_SITES = ([("chain3", fixtures.chain_site(3), c) for c in ("c0", "c1", "c2")]
+               + [("vee", fixtures.vee_site(), c) for c in ("a", "b", "c")]
+               + [(f"monoid3-{i}", monoid_site(elements, lambda a, b, m=mult: m[(a, b)]), "*")
+                  for i, (elements, mult) in enumerate(fixtures.all_monoids(3))]
+               + [("Z4", fixtures.cyclic_group(4).site(), "*"),
+                  ("S3", fixtures.symmetric_3().site(), "*")])
+
+
+@pytest.mark.parametrize("site, c", [(site, c) for _, site, c in SMALL_SITES],
+                         ids=[f"{name}-{c}" for name, _, c in SMALL_SITES])
+def test_enumeration_matches_brute_force_on_more_sites(site, c):
+    assert set(enumerate_quotient_objects(site, c)) == brute_quotient_objects(site, c)
+
+
 def test_enumeration_counts():
     idem = fixtures.idempotent_monoid_site()
     assert len(enumerate_quotient_objects(idem, "*")) == 2
@@ -253,6 +282,47 @@ def test_enumeration_budget():
     with pytest.raises(BudgetExceeded) as err:
         enumerate_quotient_objects(s4, "*", cap=10)
     assert err.value.size == 24 and err.value.cap == 10
+
+
+@pytest.mark.parametrize("site, cap", [
+    (fixtures.symmetric_4().site(), 25),          # |y(*)| = 24, |Xi| = 30
+    (full_transformation_monoid(then=True), 30),  # |y(*)| = 27, 44 principals
+], ids=["S4", "T3"])
+def test_enumeration_budget_between_representable_and_classifier(site, cap):
+    with pytest.raises(BudgetExceeded) as err:
+        enumerate_quotient_objects(site, "*", cap=cap)
+    assert err.value.size == cap + 1 and err.value.cap == cap
+    assert "quotient objects of y('*')" in str(err.value)
+
+
+@pytest.mark.parametrize("then, count, digest", [
+    (True, 287, "8e5590403ac68fc2643afc2c1717e93785827a8a1aa86fbfbdb3970968b5865a"),
+    (False, 120, "fadfb858eb2f3f36c9958bbaa23ea322801d733996c6ce0475a023037f4bd84c"),
+], ids=["then", "after"])
+def test_full_transformation_monoid_classifier_is_pinned(then, count, digest):
+    qs = enumerate_quotient_objects(full_transformation_monoid(then), "*")
+    assert len(qs) == count
+    keys = repr([q.sort_key() for q in qs]).encode()
+    assert hashlib.sha256(keys).hexdigest() == digest
+
+
+@pytest.mark.parametrize("site", [fixtures.graph_site(), fixtures.chain_site(3),
+                                  fixtures.idempotent_monoid_site(),
+                                  fixtures.dihedral_4().site()],
+                         ids=["graph", "chain3", "idempotent", "D4"])
+def test_join_is_the_least_upper_bound_in_xi(site):
+    for c in site.objects:
+        qs = enumerate_quotient_objects(site, c)
+        for q1, q2 in itertools.product(qs, repeat=2):
+            j = q1.join(q2)
+            assert j in qs
+            assert q1.leq(j) and q2.leq(j)
+            assert all(j.leq(r) for r in qs if q1.leq(r) and q2.leq(r))
+
+
+def test_join_across_objects_is_an_object_mismatch(graph):
+    with pytest.raises(ObjectMismatch):
+        RepCongruence.discrete(graph, "E").join(RepCongruence.discrete(graph, "V"))
 
 
 def test_enumeration_is_deterministic(graph):

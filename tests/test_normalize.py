@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from toposlsc import fixtures
@@ -72,6 +74,32 @@ def test_q8_and_s3_subgroup_counts():
     assert len(subgroups(fixtures.quaternion_8())) == 6
     assert len(subgroups(fixtures.symmetric_3())) == 6
     assert len(subgroups(fixtures.symmetric_4())) == 30
+
+
+def _product_closed_subsets(G):
+    """Brute force: the nonempty subsets closed under the product, which in
+    a finite group are exactly the subgroups."""
+    for r in range(1, G.order + 1):
+        for S in itertools.combinations(G.elements, r):
+            if all(G.mult(a, b) in S for a in S for b in S):
+                yield frozenset(S)
+
+
+@pytest.mark.parametrize("G", [fixtures.cyclic_group(4), fixtures.symmetric_3(),
+                               fixtures.dihedral_4(), fixtures.quaternion_8()],
+                         ids=lambda G: G.label)
+def test_subgroups_match_product_closed_subsets(G):
+    found = subgroups(G)
+    assert {H.members for H in found} == set(_product_closed_subsets(G))
+    assert len(found) == len(set(found))
+    assert list(found) == sorted(found, key=lambda H: (H.order, H.sorted_members))
+
+
+def test_elementary_abelian_16_has_67_subgroups():
+    names = ["".join(bits) for bits in itertools.product("01", repeat=4)]
+    mult = {(a, b): "".join("1" if x != y else "0" for x, y in zip(a, b))
+            for a in names for b in names}
+    assert len(subgroups(FiniteGroup(names, mult, label="E16"))) == 67
 
 
 # --- coset encoding ------------------------------------------------------------

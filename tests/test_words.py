@@ -10,7 +10,7 @@ from toposlsc.errors import (
     SymbolOutsideAlphabet,
     UnknownState,
 )
-from toposlsc import words
+from toposlsc import reports, words
 from toposlsc.reports import words_report
 from toposlsc.words import (
     MAX_GROUP_DEPTH,
@@ -280,17 +280,32 @@ def test_orbit_of_ab_star_has_three_elements():
     assert orbit_meet_check(top, top) == (top, True)
 
 
-def test_words_report_builds_one_transition_monoid(monkeypatch):
-    built = []
-    real = words.transition_monoid
+def _count_calls(monkeypatch, name):
+    """Record each call of words.<name>, from words itself or from reports."""
+    calls = []
+    real = getattr(words, name)
 
     def counting(*args):
-        built.append(args)
+        calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(words, "transition_monoid", counting)
+    for module in (words, reports):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_words_report_builds_one_transition_monoid(monkeypatch):
+    built = _count_calls(monkeypatch, "transition_monoid")
     words_report(regex_to_min_dfa("(ab)*", "ab"))
     assert len(built) == 1
+
+
+def test_words_report_minimizes_once(monkeypatch):
+    d = regex_to_min_dfa("(ab)*", "ab")
+    calls = _count_calls(monkeypatch, "minimize")
+    words_report(d)
+    assert len(calls) == 1
 
 
 def test_orbit_size_and_monoid_table_on_random_dfas():
