@@ -12,16 +12,19 @@ from collections import namedtuple
 
 from .certificates import Certificate
 from .errors import (
+    ElementNotInCarrier,
     MissingTop,
     NotMeetClosed,
     ObjectMismatch,
     NotSubpresheaf,
     NotUpwardClosed,
     SiteMismatch,
+    UnknownObject,
 )
 from .fincat import (
     Presheaf,
     PresheafMorphism,
+    RepCongruence,
     coproduct,
     enumerate_morphisms,
     equalizer,
@@ -33,14 +36,19 @@ from .lsc import xi_component
 from .normalize import normalization_operator
 
 
-def _check_keyed(selection):
-    """Raise ObjectMismatch if a congruence is selected at another object
-    than the one it lives at."""
+def _check_keyed(L, selection):
+    """Raise UnknownObject for a key that is no object of the site,
+    ObjectMismatch for a congruence selected at another object than the one
+    it lives at, and ElementNotInCarrier for anything else not in Xi(c)."""
     for c, qs in selection.items():
+        if c not in L.site.objects:
+            raise UnknownObject(f"unknown object {c!r}")
         for q in qs:
-            if q.base_object != c:
+            if isinstance(q, RepCongruence) and q.base_object != c:
                 raise ObjectMismatch(
                     f"{q!r} lives at {q.base_object!r} but is selected at {c!r}")
+            if not L.contains(c, q):
+                raise ElementNotInCarrier(f"{q!r} is not an element of Xi({c!r})")
 
 
 class InternalFilter:
@@ -60,7 +68,7 @@ class InternalFilter:
     def subpresheaf_violation(self):
         """(q, f) with q selected but q.f not, or None."""
         L = self.lsc
-        _check_keyed(self.selection)
+        _check_keyed(L, self.selection)
         return next(((q, name) for name, s, d in L.site.morphisms
                      for q in self.selection[d]
                      if L.act(q, name) not in self.selection[s]), None)
@@ -82,11 +90,6 @@ class InternalFilter:
         action = {name: {q: self.lsc.act(q, name) for q in carrier[d]}
                   for name, s, d in cat.morphisms}
         return Presheaf(cat, carrier, action, check=False)
-
-    def inclusion(self):
-        F = self.as_presheaf()
-        comps = {c: {q: q for q in F.elements(c)} for c in self.lsc.site.objects}
-        return PresheafMorphism(F, self.lsc.xi, comps, check=False)
 
     def __eq__(self, other):
         return (isinstance(other, InternalFilter) and self.lsc is other.lsc
@@ -143,68 +146,41 @@ def validate_filter(L, selection):
 def filter_generated_by(L, seeds):
     """Least internal filter containing the seeds.
 
-    Fixed-point closure under the action, pairwise meets and upward closure;
-    terminates because Xi is finite.  Empty seeds give the top filter.
+    A filter of a finite meet-semilattice is the up-set of its least
+    element, and the action preserves order and meets.  So at each c the
+    filter is everything above top /\\ q.f for all seeds q at d and f: c -> d.
+    Empty seeds give the top filter.
     """
     cat = L.site
-    selection = {c: {L.top_at(c)} for c in cat.objects}
-    for c, qs in dict(seeds).items():
-        if isinstance(qs, (list, tuple, set, frozenset)):
-            selection[c].update(qs)
-        else:
-            selection[c].add(qs)
-    _check_keyed(selection)
-    changed = True
-    while changed:
-        changed = False
-        for name, s, d in cat.morphisms:
-            for q in list(selection[d]):
-                q2 = L.act(q, name)
-                if q2 not in selection[s]:
-                    selection[s].add(q2)
-                    changed = True
-        for c in cat.objects:
-            chosen = list(selection[c])
-            for i, q1 in enumerate(chosen):
-                for q2 in chosen[i + 1:]:
-                    m = q1.meet(q2)
-                    if m not in selection[c]:
-                        selection[c].add(m)
-                        changed = True
-            for q in list(selection[c]):
-                for up in L.elements(c):
-                    if q.leq(up) and up not in selection[c]:
-                        selection[c].add(up)
-                        changed = True
-    return InternalFilter(L, selection)
+    seeds = {c: qs if isinstance(qs, (list, tuple, set, frozenset)) else (qs,)
+             for c, qs in dict(seeds).items()}
+    _check_keyed(L, seeds)
+    least = {c: L.top_at(c) for c in cat.objects}
+    for d, qs in seeds.items():
+        for q in qs:
+            for f in cat.morphisms_into(d):
+                least[cat.src[f]] = least[cat.src[f]].meet(L.act(q, f))
+    return InternalFilter(L, {c: [q for q in L.elements(c) if least[c].leq(q)]
+                              for c in cat.objects})
 
 
 Membership = namedtuple("Membership", ["member", "lift", "witness"])
 
 
-def in_subcategory(F, X):
-    """Does xi_X land in F?  If so, also return the corestriction to F."""
+def _classify(F, X):
+    """xi_X, and the first (c, x, xi_X(x)) with xi_X(x) outside F or None."""
     L = F.lsc
     if not L.site.same_site(X.site):
         raise SiteMismatch("presheaf does not live on the filter's site")
     xi = xi_component(L, X)
-    for c in L.site.objects:
-        for x in X.elements(c):
-            q = xi.components[c][x]
-            if not F.contains(c, q):
-                return Membership(False, None, (c, x, q))
-    Fp = F.as_presheaf()
-    lift = PresheafMorphism(X, Fp, xi.components, check=False)
-    return Membership(True, lift, None)
+    outside = next(((c, x, q) for c in L.site.objects for x in X.elements(c)
+                    for q in [xi.components[c][x]] if not F.contains(c, q)), None)
+    return xi, outside
 
 
-def comonad_apply(F, X):
-    """GX as the elements classifying into F, with its (monic) counit."""
-    L = F.lsc
-    if not L.site.same_site(X.site):
-        raise SiteMismatch("presheaf does not live on the filter's site")
-    cat = L.site
-    xi = xi_component(L, X)
+def _coreflect(F, X, xi):
+    """GX, the elements of X that xi sends into F, with its counit."""
+    cat = F.lsc.site
     carrier = {c: tuple(x for x in X.elements(c)
                         if F.contains(c, xi.components[c][x]))
                for c in cat.objects}
@@ -216,13 +192,18 @@ def comonad_apply(F, X):
     return GX, counit
 
 
-def _default_samples(F):
-    """Representable quotients of the selected congruences, plus terminal."""
-    out = [terminal(F.lsc.site)]
-    for c in F.lsc.site.objects:
-        for q in sorted(F.selection[c], key=lambda q: q.sort_key()):
-            out.append(quotient_of_representable(q))
-    return out
+def in_subcategory(F, X):
+    """Does xi_X land in F?  If so, also return the corestriction to F."""
+    xi, outside = _classify(F, X)
+    if outside is not None:
+        return Membership(False, None, outside)
+    return Membership(True, PresheafMorphism(X, F.as_presheaf(), xi.components,
+                                             check=False), None)
+
+
+def comonad_apply(F, X):
+    """GX as the elements classifying into F, with its (monic) counit."""
+    return _coreflect(F, X, _classify(F, X)[0])
 
 
 def certify_quotient_classifier(F, samples=None, *, mono_limit=64):
@@ -237,23 +218,36 @@ def certify_quotient_classifier(F, samples=None, *, mono_limit=64):
                           the terminal object, sampled binary products and
                           sampled equalizers.
 
+    The default samples are the terminal presheaf and every y(c)/q.  Each
+    sample is classified once, and the clauses read membership, xi and GX
+    from that.
+
     A selection not closed under the action is no subpresheaf of Xi, so no
     clause applies: it raises NotSubpresheaf with the (q, f) witness.
     """
     F._require_subpresheaf()
     cert = Certificate("quotient-classifier")
     cat = F.lsc.site
+    quotients = [(c, q, quotient_of_representable(q)) for c in cat.objects
+                 for q in sorted(F.selection[c], key=lambda q: q.sort_key())]
 
     # (a) the filter lives in its own subcategory
     cert.check("F-in-EF", _self_membership_counterexamples(F))
 
-    # sample pool: provided samples, their pairwise coproducts, defaults
-    pool = list(samples) if samples is not None else _default_samples(F)
+    # sample pool: provided samples or the defaults, plus one coproduct
+    quotient_classes = [_classify(F, Q) for _, _, Q in quotients]
+    if samples is None:
+        pool = [terminal(cat)] + [Q for _, _, Q in quotients]
+        classified = [_classify(F, pool[0])] + quotient_classes
+    else:
+        pool = list(samples)
+        classified = [_classify(F, X) for X in pool]
     if len(pool) >= 2:
         P, _, _ = coproduct(pool[0], pool[1])
         pool.append(P)
-    memberships = [(X, in_subcategory(F, X)) for X in pool]
-    members = [(X, m.lift.components) for X, m in memberships if m.member]
+        classified.append(_classify(F, P))
+    members = [(X, xi.components) for X, (xi, outside) in zip(pool, classified)
+               if outside is None]
 
     # (b) cocone property along injective morphisms between members
     maps = 0
@@ -272,10 +266,11 @@ def certify_quotient_classifier(F, samples=None, *, mono_limit=64):
                on_pass=lambda: f"{maps} injective maps checked")
 
     # (c) joint surjectivity through representable quotients
-    cert.check("joint-surjectivity", _surjectivity_counterexamples(F))
+    cert.check("joint-surjectivity",
+               _surjectivity_counterexamples(cat, quotients, quotient_classes))
 
     # (d) comonad sanity: idempotent, monic counit, lex on samples
-    cert.check("comonad", _comonad_counterexamples(F, pool))
+    cert.check("comonad", _comonad_counterexamples(F, pool, classified))
     return cert
 
 
@@ -286,27 +281,24 @@ def _self_membership_counterexamples(F):
                     if not F.contains(c, op.components[c][q]))
 
 
-def _surjectivity_counterexamples(F):
-    cat = F.lsc.site
-    for c in cat.objects:
-        for q in sorted(F.selection[c], key=lambda q: q.sort_key()):
-            membership = in_subcategory(F, quotient_of_representable(q))
-            if not membership.member:
-                yield (c, q, "quotient not a member", membership.witness)
-                continue
-            hit = membership.lift.components[c][q.block_members(cat.identity(c))]
-            if hit != q:
-                yield (c, q, "identity class classifies to", hit)
+def _surjectivity_counterexamples(cat, quotients, classes):
+    for (c, q, _), (xi, outside) in zip(quotients, classes):
+        if outside is not None:
+            yield (c, q, "quotient not a member", outside)
+            continue
+        hit = xi.components[c][q.block_members(cat.identity(c))]
+        if hit != q:
+            yield (c, q, "identity class classifies to", hit)
 
 
-def _comonad_counterexamples(F, pool):
+def _comonad_counterexamples(F, pool, classified):
     """Stages in order: counit monic and G idempotent per sample, terminal
     preserved, binary products of neighbours, equalizers among the first
     three samples."""
     cat = F.lsc.site
     images = []
-    for X in pool:
-        GX, counit = comonad_apply(F, X)
+    for X, (xi, _) in zip(pool, classified):
+        GX, counit = _coreflect(F, X, xi)
         images.append(GX)
         if not counit.is_mono():
             yield ("counit not monic", X)

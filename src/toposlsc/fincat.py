@@ -25,6 +25,7 @@ from .errors import (
     NonRepresentableSource,
     NotParallel,
     ObjectMismatch,
+    SiteMismatch,
     UnknownMorphism,
     UnknownObject,
 )
@@ -253,13 +254,6 @@ class PresheafMorphism:
     def is_mono(self):
         return all(len(set(comp.values())) == len(comp)
                    for comp in self.components.values())
-
-    def compose(self, other):
-        """self after other."""
-        comps = {c: {x: self.components[c][other.components[c][x]]
-                     for x in other.source.elements(c)}
-                 for c in self.source.site.objects}
-        return PresheafMorphism(other.source, self.target, comps, check=False)
 
     def check_natural(self):
         site = self.source.site
@@ -652,37 +646,30 @@ def coproduct(X, Y):
 def enumerate_morphisms(X, Y, *, injective_only=False, limit=None):
     """All natural transformations X -> Y by backtracking with propagation.
 
-    Intended for the small sample presheaves used in certificates; the search
-    assigns images element by element and immediately propagates along the
-    action, so dead branches are cut early.
+    Intended for the small sample presheaves used in certificates.  The
+    search assigns images element by element; choosing x |-> y fixes
+    x.f |-> y.f for every f into c, and since (x.f).g = x.(f*g) those images
+    already form the subpresheaf x generates, so one pass over the arrows
+    into c propagates the choice and dead branches are cut early.
     """
+    if not X.site.same_site(Y.site):
+        raise SiteMismatch("presheaves live on different sites")
     site = X.site
     items = [(c, x) for c in site.objects for x in X.elements(c)]
-    ysets = {c: set(Y.elements(c)) for c in site.objects}
     results = []
     assign = {}
 
     def propagate(c, x, y, trail):
-        stack = [(c, x, y)]
-        while stack:
-            c0, x0, y0 = stack.pop()
-            cur = assign.get((c0, x0))
-            if cur is not None:
-                if cur != y0:
-                    return False
-                continue
-            if y0 not in ysets[c0]:
+        for f in site.morphisms_into(c):
+            key = (site.src[f], X.act(x, f))
+            image = Y.act(y, f)
+            cur = assign.get(key)
+            if cur is None:
+                assign[key] = image
+                trail.append(key)
+            elif cur != image:
                 return False
-            assign[(c0, x0)] = y0
-            trail.append((c0, x0))
-            for name, s, d in site.morphisms:
-                if d == c0:
-                    stack.append((s, X.act(x0, name), Y.act(y0, name)))
         return True
-
-    def unwind(trail):
-        for key in trail:
-            del assign[key]
 
     def extend(i):
         if limit is not None and len(results) >= limit:
@@ -690,10 +677,8 @@ def enumerate_morphisms(X, Y, *, injective_only=False, limit=None):
         while i < len(items) and items[i] in assign:
             i += 1
         if i == len(items):
-            comps = {c: {} for c in site.objects}
-            for (c, x), y in assign.items():
-                comps[c][x] = y
-            m = PresheafMorphism(X, Y, comps, check=False)
+            m = PresheafMorphism(X, Y, {c: {x: assign[(c, x)] for x in X.elements(c)}
+                                        for c in site.objects}, check=False)
             if not injective_only or m.is_mono():
                 results.append(m)
             return
@@ -702,7 +687,8 @@ def enumerate_morphisms(X, Y, *, injective_only=False, limit=None):
             trail = []
             if propagate(c, x, y, trail):
                 extend(i + 1)
-            unwind(trail)
+            for key in trail:
+                del assign[key]
             if limit is not None and len(results) >= limit:
                 return
 

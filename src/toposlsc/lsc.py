@@ -37,6 +37,9 @@ class LocalStateClassifier:
     def index_of(self, c, q):
         return self._index[c][q]
 
+    def contains(self, c, q):
+        return q in self._index[c]
+
     def top_at(self, c):
         return self.top[c]
 

@@ -1,15 +1,28 @@
+import itertools
+import random
+from collections import Counter
+
 import pytest
 
-from toposlsc import fixtures
+from toposlsc import filters, fixtures
 from toposlsc.errors import (
+    ElementNotInCarrier,
+    FilterViolation,
     MissingTop,
     NotMeetClosed,
     NotSubpresheaf,
     NotUpwardClosed,
     ObjectMismatch,
     SiteMismatch,
+    UnknownObject,
 )
-from toposlsc.fincat import Presheaf, product, quotient_of_representable, terminal
+from toposlsc.fincat import (
+    Presheaf,
+    enumerate_morphisms,
+    product,
+    quotient_of_representable,
+    terminal,
+)
 from toposlsc.filters import (
     InternalFilter,
     certify_quotient_classifier,
@@ -21,7 +34,7 @@ from toposlsc.filters import (
     validate_filter,
 )
 from toposlsc.lsc import build_lsc
-from toposlsc.normalize import subgroup_to_congruence
+from toposlsc.normalize import monoid_site, subgroup_to_congruence
 from toposlsc.verify import graph_nonfilter_selection
 
 
@@ -117,6 +130,18 @@ def test_congruence_selected_at_the_wrong_object_is_an_object_mismatch(graph_lsc
             InternalFilter(graph_lsc, miskeyed).as_presheaf()
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda L: filter_generated_by(L, {"nope": [L.top_at("V")]}), UnknownObject),
+    (lambda L: filter_generated_by(L, {"E": ["junk"]}), ElementNotInCarrier),
+    (lambda L: enumerate_morphisms(terminal(L.site),
+                                   terminal(fixtures.idempotent_monoid_site())),
+     SiteMismatch),
+], ids=["seed-at-unknown-object", "seed-not-a-congruence", "morphisms-across-sites"])
+def test_library_inputs_on_the_filter_path_raise_typed_errors(graph_lsc, call, error):
+    with pytest.raises(error):
+        call(graph_lsc)
+
+
 # --- generation --------------------------------------------------------------------
 
 def test_empty_seed_generates_top_filter(graph_lsc):
@@ -142,6 +167,47 @@ def test_d4_seed_s2_generates_five(d4, d4_lsc, named):
                 for n in ("<s2>", "<s>", "<t,s2>", "<st,s2>", "D4")}
     assert F.selection["*"] == frozenset(expected)
     validate_filter(d4_lsc, F)
+
+
+def all_filters(L):
+    """Every selection, subsets enumerated per object, that validates."""
+    objects = L.site.objects
+    per_object = [[frozenset(sub) for k in range(len(L.elements(c)) + 1)
+                   for sub in itertools.combinations(L.elements(c), k)]
+                  for c in objects]
+    found = []
+    for combo in itertools.product(*per_object):
+        selection = dict(zip(objects, combo))
+        try:
+            validate_filter(L, selection)
+        except FilterViolation:
+            continue
+        found.append(selection)
+    return found
+
+
+FILTER_SITES = ([("graph", fixtures.graph_site()), ("chain3", fixtures.chain_site(3)),
+                 ("idempotent", fixtures.idempotent_monoid_site()),
+                 ("D4", fixtures.dihedral_4().site()), ("S3", fixtures.symmetric_3().site()),
+                 ("Z4", fixtures.cyclic_group(4).site())]
+                + [(f"monoid3-{i}", monoid_site(elements, lambda a, b, m=mult: m[(a, b)]))
+                   for i, (elements, mult) in enumerate(fixtures.all_monoids(3))])
+
+
+@pytest.mark.parametrize("site", [site for _, site in FILTER_SITES],
+                         ids=[name for name, _ in FILTER_SITES])
+def test_generated_filter_is_the_least_filter_containing_the_seeds(site):
+    L = build_lsc(site)
+    candidates = all_filters(L)
+    rng = random.Random(5)
+    for _ in range(8):
+        seeds = {c: rng.sample(L.elements(c), rng.randint(0, min(2, len(L.elements(c)))))
+                 for c in site.objects if rng.random() < 0.7}
+        above = [sel for sel in candidates
+                 if all(set(qs) <= sel[c] for c, qs in seeds.items())]
+        least = {c: frozenset.intersection(*(sel[c] for sel in above))
+                 for c in site.objects}
+        assert filter_generated_by(L, seeds).selection == least
 
 
 # --- membership and the comonad ------------------------------------------------------
@@ -279,3 +345,26 @@ def test_certificate_on_the_middle_filter_of_z4():
     cert = certify_quotient_classifier(F)
     assert cert.ok, cert.failures()
     assert full_filter(L) != F != top_filter(L)
+
+
+def test_s4_full_filter_certificate_classifies_each_sample_once(monkeypatch):
+    L = build_lsc(fixtures.symmetric_4().site())
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(filters, "xi_component",
+                        counting("xi_component", filters.xi_component))
+    monkeypatch.setattr(InternalFilter, "as_presheaf",
+                        counting("as_presheaf", InternalFilter.as_presheaf))
+    monkeypatch.setattr(Presheaf, "act", counting("act", Presheaf.act))
+    cert = certify_quotient_classifier(full_filter(L))
+    assert cert.ok
+    assert cert.checks[1].witness == "287 injective maps checked"
+    assert counts["xi_component"] <= 135
+    assert counts["as_presheaf"] == 0
+    assert counts["act"] < 600_000

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from toposlsc.errors import (
     ElementNotInCarrier,
     IdentityViolation,
     IllTypedComposite,
+    NaturalityViolation,
     NonRepresentableSource,
     NotParallel,
     ObjectMismatch,
@@ -18,6 +20,7 @@ from toposlsc.errors import (
 from toposlsc.fincat import (
     FiniteCategory,
     Presheaf,
+    PresheafMorphism,
     RepCongruence,
     coproduct,
     enumerate_morphisms,
@@ -396,6 +399,54 @@ def test_mono_detection(graph):
     assert not collapse.is_mono()  # both vertices land on the loop's vertex
     P, inl, inr = coproduct(X, L)
     assert inl.is_mono() and inr.is_mono()
+
+
+# --- morphism enumeration against every family of component functions -----------------
+
+def brute_morphisms(X, Y):
+    """Try every choice of images and keep the natural families."""
+    keys = [(c, x) for c in X.site.objects for x in X.elements(c)]
+    found = []
+    for images in itertools.product(*(Y.elements(c) for c, _ in keys)):
+        comps = {c: {} for c in X.site.objects}
+        for (c, x), y in zip(keys, images):
+            comps[c][x] = y
+        try:
+            found.append(PresheafMorphism(X, Y, comps))
+        except NaturalityViolation:
+            continue
+    return found
+
+
+def _images(X, morphisms):
+    return [tuple(m.components[c][x] for c in X.site.objects for x in X.elements(c))
+            for m in morphisms]
+
+
+def _morphism_samples(site):
+    """Terminal, every representable, every quotient y(c)/q, one coproduct."""
+    reps = [representable(site, c) for c in site.objects]
+    quotients = [quotient_of_representable(q) for c in site.objects
+                 for q in enumerate_quotient_objects(site, c)]
+    return [terminal(site), *reps, *quotients, coproduct(terminal(site), reps[0])[0]]
+
+
+@pytest.mark.parametrize("site", [fixtures.graph_site(), fixtures.idempotent_monoid_site(),
+                                  fixtures.chain_site(3), fixtures.cyclic_group(4).site()],
+                         ids=["graph", "idempotent", "chain3", "Z4"])
+def test_enumerate_morphisms_matches_brute_force(site):
+    samples = _morphism_samples(site)
+    for X, Y in itertools.product(samples, repeat=2):
+        listed = enumerate_morphisms(X, Y)
+        images = _images(X, listed)
+        assert Counter(images) == Counter(_images(X, brute_morphisms(X, Y)))
+        assert len(set(images)) == len(images)
+        injective = [key for key, m in zip(images, listed)
+                     if all(len(set(m.components[c].values())) == len(X.elements(c))
+                            for c in site.objects)]
+        assert _images(X, enumerate_morphisms(X, Y, injective_only=True)) == injective
+        for k in (1, 2, 3):
+            assert _images(X, enumerate_morphisms(X, Y, limit=k)) == images[:k]
 
 
 def test_functoriality_check_rejects_bad_action(idem):
