@@ -65,12 +65,15 @@ class InternalFilter:
     def size(self):
         return sum(len(v) for v in self.selection.values())
 
+    def _selected(self, c):
+        """The selection at c in carrier order, which no hash seed changes."""
+        return [q for q in self.lsc.elements(c) if q in self.selection[c]]
+
     def subpresheaf_violation(self):
         """(q, f) with q selected but q.f not, or None."""
         L = self.lsc
         _check_keyed(L, self.selection)
-        return next(((q, name) for name, s, d in L.site.morphisms
-                     for q in self.selection[d]
+        return next(((q, name) for name, s, d in L.site.morphisms for q in self._selected(d)
                      if L.act(q, name) not in self.selection[s]), None)
 
     def _require_subpresheaf(self):
@@ -85,8 +88,7 @@ class InternalFilter:
         """The selection as a subpresheaf of Xi (requires action-closure)."""
         self._require_subpresheaf()
         cat = self.lsc.site
-        carrier = {c: tuple(q for q in self.lsc.elements(c) if q in self.selection[c])
-                   for c in cat.objects}
+        carrier = {c: tuple(self._selected(c)) for c in cat.objects}
         action = {name: {q: self.lsc.act(q, name) for q in carrier[d]}
                   for name, s, d in cat.morphisms}
         return Presheaf(cat, carrier, action, check=False)
@@ -122,7 +124,7 @@ def validate_filter(L, selection):
     F._require_subpresheaf()
     for c in L.site.objects:
         chosen = F.selection[c]
-        for q in chosen:
+        for q in F._selected(c):
             for q2 in L.elements(c):
                 if q.leq(q2) and q2 not in chosen:
                     raise NotUpwardClosed(
@@ -133,7 +135,7 @@ def validate_filter(L, selection):
             raise MissingTop(f"total congruence missing at {c!r}",
                              witness=(c, L.top_at(c)))
     for c in L.site.objects:
-        chosen = sorted(F.selection[c], key=lambda q: q.sort_key())
+        chosen = F._selected(c)
         for i, q1 in enumerate(chosen):
             for q2 in chosen[i:]:
                 if q1.meet(q2) not in F.selection[c]:
@@ -229,7 +231,7 @@ def certify_quotient_classifier(F, samples=None, *, mono_limit=64):
     cert = Certificate("quotient-classifier")
     cat = F.lsc.site
     quotients = [(c, q, quotient_of_representable(q)) for c in cat.objects
-                 for q in sorted(F.selection[c], key=lambda q: q.sort_key())]
+                 for q in F._selected(c)]
 
     # (a) the filter lives in its own subcategory
     cert.check("F-in-EF", _self_membership_counterexamples(F))
@@ -277,8 +279,7 @@ def certify_quotient_classifier(F, samples=None, *, mono_limit=64):
 def _self_membership_counterexamples(F):
     op = normalization_operator(F.lsc)
     for c in F.lsc.site.objects:
-        yield from (q for q in sorted(F.selection[c], key=lambda q: q.sort_key())
-                    if not F.contains(c, op.components[c][q]))
+        yield from (q for q in F._selected(c) if not F.contains(c, op.components[c][q]))
 
 
 def _surjectivity_counterexamples(cat, quotients, classes):

@@ -69,6 +69,8 @@ class FiniteCategory:
             self._hom.setdefault((s, d), []).append(name)
         self._into = {c: tuple(n for n, _, d in self.morphisms if d == c)
                       for c in self.objects}
+        # arrow -> its position in morphisms_into(dst): RepCongruence's index
+        self.into_index = {u: i for into in self._into.values() for i, u in enumerate(into)}
 
         if check:
             self.validate()
@@ -286,70 +288,57 @@ class PresheafMorphism:
 class RepCongruence:
     """A right-compatible partition of a representable y(c).
 
-    Stored in canonical form: per object, blocks of morphism names, each block
-    sorted by the site's morphism order and blocks sorted by their least
-    member.  Structural equality of canonical forms is equality of the
-    corresponding quotient objects of y(c).
+    Stored as one tuple ``labels``: ``labels[i]`` is the block of the i-th
+    arrow of ``site.morphisms_into(c)``, blocks numbered by first occurrence.
+    That tuple is the canonical form, so equal labels are the same quotient
+    object of y(c), and every operation works on the ints.  ``blocks`` (per
+    object, blocks of names by least member), ``sort_key`` and ``repr`` are
+    derived from it for reports.
     """
 
-    __slots__ = ("site", "base_object", "blocks", "_block_of", "_hash")
+    __slots__ = ("site", "base_object", "labels", "_hash")
 
     def __init__(self, site, base_object, blocks):
-        if base_object not in site._obj_index:
-            raise UnknownObject(f"unknown object {base_object!r}")
-        self.site = site
-        self.base_object = base_object
-        idx = site.mor_index
-        canon = {}
-        block_of = {}
-        for c in site.objects:
-            raw = [tuple(sorted(b, key=idx.__getitem__)) for b in blocks.get(c, ())]
-            raw.sort(key=lambda b: idx[b[0]])
-            canon[c] = tuple(raw)
-        self.blocks = canon
-        bid = 0
-        for c in site.objects:
-            for b in canon[c]:
-                for u in b:
-                    block_of[u] = bid
-                bid += 1
-        self._block_of = block_of
-        self._hash = hash((base_object, tuple((c, canon[c]) for c in site.objects)))
-        covered = set(block_of)
-        expected = set(site.morphisms_into(base_object))
-        if covered != expected:
+        into = site.morphisms_into(base_object)
+        given = (b for c in site.objects for b in blocks.get(c, ()))
+        block_of = {u: k for k, b in enumerate(given) for u in b}
+        if block_of.keys() != set(into):
             raise UnknownMorphism(
                 f"partition does not cover y({base_object!r}) exactly")
+        self._set(site, base_object, ((site.src[u], block_of[u]) for u in into))
+
+    def _set(self, site, base_object, keys):
+        """Number the keys, one per arrow into base_object, by first occurrence."""
+        ids = {}
+        self.site = site
+        self.base_object = base_object
+        self.labels = tuple(ids.setdefault(k, len(ids)) for k in keys)
+        self._hash = hash((base_object, self.labels))
+
+    @classmethod
+    def _from_keys(cls, site, c, keys):
+        q = cls.__new__(cls)
+        q._set(site, c, keys)
+        return q
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_labels(cls, site, c, label):
         """Partition each Hom(a, c) by the value of ``label`` on its members."""
-        blocks = {}
-        for a in site.objects:
-            groups = {}
-            for u in site.hom(a, c):
-                groups.setdefault(label(u), []).append(u)
-            blocks[a] = list(groups.values())
-        return cls(site, c, blocks)
+        src = site.src
+        return cls._from_keys(site, c, [(src[u], label(u)) for u in site.morphisms_into(c)])
 
     @classmethod
     def from_pairs(cls, site, c, pairs):
         """The least equivalence relation on y(c) relating each pair of
         parallel arrows in ``pairs``."""
-        parent = {u: u for u in site.morphisms_into(c)}
-
-        def find(u):
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            return u
-
+        n, pos, links = len(site.morphisms_into(c)), site.into_index, []
         for u, v in pairs:
-            if u not in parent or v not in parent or site.src[u] != site.src[v]:
+            if site.dst.get(u) != c or site.dst.get(v) != c or site.src[u] != site.src[v]:
                 raise UnknownMorphism(f"{u!r}, {v!r} are not parallel arrows into {c!r}")
-            parent[find(u)] = find(v)
-        return cls.from_labels(site, c, find)
+            links.append((pos[u], pos[v]))
+        return cls._from_keys(site, c, _union_find(n, links))
 
     @classmethod
     def discrete(cls, site, c):
@@ -359,33 +348,41 @@ class RepCongruence:
     def total(cls, site, c):
         return cls.from_labels(site, c, lambda u: 0)
 
-    # -- relation view ------------------------------------------------------------
+    # -- derived views ------------------------------------------------------------
+
+    @property
+    def blocks(self):
+        """Object -> tuple of blocks, each a tuple of morphism names."""
+        site = self.site
+        members = [[] for _ in range(self.block_count())]
+        for u, b in zip(site.morphisms_into(self.base_object), self.labels):
+            members[b].append(u)
+        out = {c: [] for c in site.objects}
+        for b in members:
+            out[site.src[b[0]]].append(tuple(b))
+        return {c: tuple(bs) for c, bs in out.items()}
 
     def related(self, u, v):
-        return self._block_of[u] == self._block_of[v]
+        return self.block_id(u) == self.block_id(v)
 
     def block_id(self, u):
-        try:
-            return self._block_of[u]
-        except KeyError:
-            raise UnknownMorphism(f"{u!r} is not an element of y({self.base_object!r})") from None
+        if self.site.dst.get(u) != self.base_object:
+            raise UnknownMorphism(f"{u!r} is not an element of y({self.base_object!r})")
+        return self.labels[self.site.into_index[u]]
 
     def block_members(self, u):
         bid = self.block_id(u)
-        for c in self.site.objects:
-            for b in self.blocks[c]:
-                if self._block_of[b[0]] == bid:
-                    return b
-        raise AssertionError("unreachable")
+        return tuple(v for v, b in zip(self.site.morphisms_into(self.base_object), self.labels)
+                     if b == bid)
 
     def block_count(self):
-        return sum(len(self.blocks[c]) for c in self.site.objects)
+        return max(self.labels, default=-1) + 1
 
     def is_total(self):
-        return all(len(self.blocks[c]) <= 1 for c in self.site.objects)
+        return all(len(bs) <= 1 for bs in self.blocks.values())
 
     def is_discrete(self):
-        return all(all(len(b) == 1 for b in self.blocks[c]) for c in self.site.objects)
+        return self.block_count() == len(self.labels)
 
     def check_right_compatible(self):
         site = self.site
@@ -402,23 +399,27 @@ class RepCongruence:
 
     # -- operations -----------------------------------------------------------------
 
+    def _same_object(self, other, what):
+        if other.base_object != self.base_object:
+            raise ObjectMismatch(
+                f"{what} congruences at {self.base_object!r} and {other.base_object!r}")
+
     def precompose(self, f):
         """The congruence on y(src f) relating u, v iff f*u ~ f*v here."""
         site = self.site
         if site.dst[f] != self.base_object:
             raise ObjectMismatch(
                 f"{f!r} does not land in {self.base_object!r}")
-        return RepCongruence.from_labels(
-            site, site.src[f], lambda u: self._block_of[site.compose(f, u)])
+        comp, pos, labels = site.composition, site.into_index, self.labels
+        return RepCongruence._from_keys(
+            site, site.src[f],
+            [labels[pos[comp[(f, u)]]] for u in site.morphisms_into(site.src[f])])
 
     def meet(self, other):
         """Common refinement (intersection of the relations)."""
-        if other.base_object != self.base_object:
-            raise ObjectMismatch(
-                f"meet of congruences at {self.base_object!r} and {other.base_object!r}")
-        return RepCongruence.from_labels(
-            self.site, self.base_object,
-            lambda u: (self._block_of[u], other._block_of[u]))
+        self._same_object(other, "meet of")
+        return RepCongruence._from_keys(self.site, self.base_object,
+                                        zip(self.labels, other.labels))
 
     def join(self, other):
         """Least common coarsening: the equivalence closure of the union.
@@ -428,45 +429,56 @@ class RepCongruence:
         link with g on the right; so the join of two congruences in Xi(c)
         is the plain partition join, their least upper bound under ``leq``.
         """
-        if other.base_object != self.base_object:
-            raise ObjectMismatch(
-                f"join of congruences at {self.base_object!r} and {other.base_object!r}")
-        return RepCongruence.from_pairs(
-            self.site, self.base_object,
-            [(b[0], u) for q in (self, other)
-             for c in self.site.objects for b in q.blocks[c] for u in b[1:]])
+        self._same_object(other, "join of")
+        # union-find over self's blocks, linking those that meet one block of other
+        first = {}
+        roots = _union_find(self.block_count(), [(a, first.setdefault(b, a))
+                                                 for a, b in zip(self.labels, other.labels)])
+        return RepCongruence._from_keys(self.site, self.base_object,
+                                        [roots[a] for a in self.labels])
 
     def leq(self, other):
         """Relation inclusion: self is a refinement of other."""
-        if other.base_object != self.base_object:
-            raise ObjectMismatch(
-                f"comparing congruences at {self.base_object!r} and {other.base_object!r}")
-        for c in self.site.objects:
-            for b in self.blocks[c]:
-                tgt = other._block_of[b[0]]
-                if any(other._block_of[u] != tgt for u in b[1:]):
-                    return False
-        return True
+        self._same_object(other, "comparing")
+        image = {}
+        return all(image.setdefault(a, b) == b for a, b in zip(self.labels, other.labels))
 
     def sort_key(self):
         idx = self.site.mor_index
-        return tuple(tuple(tuple(idx[u] for u in b) for b in self.blocks[c])
-                     for c in self.site.objects)
+        return tuple(tuple(tuple(idx[u] for u in b) for b in bs) for bs in self.blocks.values())
 
     def __eq__(self, other):
-        return (isinstance(other, RepCongruence)
-                and self.base_object == other.base_object
-                and self.blocks == other.blocks)
+        # labels number the arrows into c, so equal labels on another site
+        # are the same partition only when that site names them the same way
+        c = self.base_object
+        return (isinstance(other, RepCongruence) and c == other.base_object
+                and self.labels == other.labels
+                and (self.site is other.site
+                     or self.site.morphisms_into(c) == other.site.morphisms_into(c)))
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        merged = [b for c in self.site.objects for b in self.blocks[c] if len(b) > 1]
+        merged = [b for bs in self.blocks.values() for b in bs if len(b) > 1]
         if not merged:
             return f"Cong({self.base_object}: discrete)"
         body = " ".join("~".join(b) for b in merged)
         return f"Cong({self.base_object}: {body})"
+
+
+def _union_find(n, links):
+    """Root of each of 0..n-1 under the equivalence closure of ``links``."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, j in links:
+        parent[find(i)] = find(j)
+    return [find(i) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +522,11 @@ def image_quotient(m):
 def quotient_of_representable(q):
     """The quotient presheaf y(c)/q; elements are the blocks of q."""
     cat = q.site
-    c = q.base_object
-    carrier = {a: q.blocks[a] for a in cat.objects}
+    carrier = q.blocks
+    block_of = {u: b for bs in carrier.values() for b in bs for u in b}
     action = {}
     for name, s, d in cat.morphisms:
-        action[name] = {b: q.block_members(cat.compose(b[0], name))
-                        for b in carrier[d]}
+        action[name] = {b: block_of[cat.compose(b[0], name)] for b in carrier[d]}
     return Presheaf(cat, carrier, action, check=False)
 
 

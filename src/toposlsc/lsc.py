@@ -9,7 +9,7 @@ intersection of congruences with the total congruence on top.
 """
 
 from .certificates import Certificate
-from .errors import ObjectMismatch, SiteMismatch
+from .errors import SiteMismatch
 from .fincat import (
     DEFAULT_BUDGET,
     Presheaf,
@@ -45,20 +45,6 @@ class LocalStateClassifier:
 
     def act(self, q, f):
         return self.xi.act(q, f)
-
-    def _check_pair(self, q1, q2):
-        if q1.base_object != q2.base_object:
-            raise ObjectMismatch(
-                f"congruences live at {q1.base_object!r} and {q2.base_object!r}")
-        return q1.base_object
-
-    def meet(self, q1, q2):
-        self._check_pair(q1, q2)
-        return q1.meet(q2)
-
-    def leq(self, q1, q2):
-        self._check_pair(q1, q2)
-        return q1.leq(q2)
 
     def size(self):
         return self.xi.size()

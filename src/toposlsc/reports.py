@@ -16,7 +16,6 @@ from .normalize import (
     normalization_operator,
     normalization_table,
     normalizer_direct,
-    subgroups,
 )
 from .words import (
     RightCongruence,
@@ -42,7 +41,7 @@ def make_report(kind, payload, certificates=()):
 
 
 def _congruence_blocks(q):
-    return {c: [list(b) for b in q.blocks[c]] for c in q.site.objects if q.blocks[c]}
+    return {c: [list(b) for b in bs] for c, bs in q.blocks.items() if bs}
 
 
 def lsc_report(L):
@@ -78,7 +77,8 @@ def group_report(G, L):
     """Subgroup lattice with its covering edges, the normalization arrows of
     the categorical operator, and the Dedekind verdict; L is the classifier
     of G's site."""
-    subs = subgroups(G)
+    table = normalization_table(G, L)
+    subs = list(table)  # subgroups(G), in its order
     pretty = lambda e: G.display.get(e, e)
     label = {H: "{" + ",".join(pretty(e) for e in H.sorted_members) + "}"
              for H in subs}
@@ -88,7 +88,6 @@ def group_report(G, L):
             if H.members < K.members and not any(
                     H.members < J.members < K.members for J in subs):
                 edges.append([label[H], label[K]])
-    table = normalization_table(G, L)
     arrows = [[label[H], label[table[H]]] for H in subs]
     oracle_ok = all(normalizer_direct(G, H) == table[H] for H in subs)
     cert = Certificate("group")

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,8 @@ from toposlsc.filters import (
 from toposlsc.lsc import build_lsc
 from toposlsc.normalize import monoid_site, subgroup_to_congruence
 from toposlsc.verify import graph_nonfilter_selection
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +146,39 @@ def test_congruence_selected_at_the_wrong_object_is_an_object_mismatch(graph_lsc
 def test_library_inputs_on_the_filter_path_raise_typed_errors(graph_lsc, call, error):
     with pytest.raises(error):
         call(graph_lsc)
+
+
+WITNESS_SCRIPT = """
+import itertools
+from toposlsc import fixtures
+from toposlsc.errors import FilterViolation
+from toposlsc.filters import validate_filter
+from toposlsc.lsc import build_lsc
+
+L = build_lsc(fixtures.dihedral_4().site())
+for pair in itertools.combinations(L.elements("*"), 2):
+    try:
+        validate_filter(L, {"*": pair})
+    except FilterViolation as exc:
+        print(type(exc).__name__, exc.witness)
+"""
+
+
+def test_violation_witnesses_do_not_depend_on_the_hash_seed():
+    # both clauses iterate the carrier, not the selected frozenset, so the
+    # first witness is the same whatever order the set hashes into
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", WITNESS_SCRIPT], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    kinds = Counter(line.split()[0] for line in outputs[0].splitlines())
+    assert kinds["NotSubpresheaf"] > 0 and kinds["NotUpwardClosed"] > 0
+    assert outputs[0] == outputs[1]
 
 
 # --- generation --------------------------------------------------------------------

@@ -34,7 +34,9 @@ from toposlsc.fincat import (
     validate_category,
     yoneda_morphism,
 )
+from toposlsc.lsc import build_lsc
 from toposlsc.normalize import monoid_site
+from toposlsc.reports import lsc_report, render
 
 
 # --- independent oracle: Bell-number partition enumeration -------------------
@@ -51,10 +53,10 @@ def set_partitions(items):
         yield smaller + [[first]]
 
 
-def brute_quotient_objects(cat, c):
-    """Filter right-compatible partitions out of all object-respecting ones."""
+def brute_partitions(cat, c):
+    """(input blocks, congruence) for each right-compatible partition among
+    all object-respecting ones."""
     per_object = [list(set_partitions(cat.hom(a, c))) for a in cat.objects]
-    found = set()
     for combo in itertools.product(*per_object):
         blocks = dict(zip(cat.objects, combo))
         q = RepCongruence(cat, c, blocks)
@@ -62,8 +64,11 @@ def brute_quotient_objects(cat, c):
             q.check_right_compatible()
         except Exception:
             continue
-        found.add(q)
-    return found
+        yield blocks, q
+
+
+def brute_quotient_objects(cat, c):
+    return {q for _, q in brute_partitions(cat, c)}
 
 
 # --- fixtures -----------------------------------------------------------------
@@ -252,6 +257,53 @@ def test_enumeration_matches_brute_force_on_more_sites(site, c):
     assert set(enumerate_quotient_objects(site, c)) == brute_quotient_objects(site, c)
 
 
+def _pairs(blocks):
+    return frozenset((u, v) for bs in blocks.values() for b in bs for u in b for v in b)
+
+
+def _transitive_closure(pairs):
+    closed = set(pairs)
+    while True:
+        step = {(u, w) for u, v in closed for v2, w in closed if v == v2} - closed
+        if not step:
+            return frozenset(closed)
+        closed |= step
+
+
+# m1 * m2 = m2 and m2 * m1 = m1: the order-3 monoid with the most congruences (5)
+MONOID3_ELEMENTS, MONOID3_MULT = fixtures.all_monoids(3)[5]
+ORACLE_SITES = [("graph", fixtures.graph_site()), ("chain3", fixtures.chain_site(3)),
+                ("vee", fixtures.vee_site()), ("idempotent", fixtures.idempotent_monoid_site()),
+                ("monoid3-5", monoid_site(MONOID3_ELEMENTS, lambda a, b: MONOID3_MULT[(a, b)]))]
+
+
+@pytest.mark.parametrize("site", [site for _, site in ORACLE_SITES],
+                         ids=[name for name, _ in ORACLE_SITES])
+def test_relation_operations_match_the_input_blocks(site):
+    # every expectation comes from the blocks handed to the constructor, and
+    # each result is looked up by its relation among the brute-force partitions
+    idx = site.mor_index
+    parts = {c: list(brute_partitions(site, c)) for c in site.objects}
+    by_relation = {c: {_pairs(blocks): q for blocks, q in parts[c]} for c in site.objects}
+    for c in site.objects:
+        for blocks, q in parts[c]:
+            canon = {a: tuple(sorted((tuple(sorted(b, key=idx.get)) for b in blocks[a]),
+                                     key=lambda b: idx[b[0]]))
+                     for a in site.objects}
+            assert q.blocks == canon
+            r = _pairs(blocks)
+            for blocks2, q2 in parts[c]:
+                r2 = _pairs(blocks2)
+                assert q.meet(q2) == by_relation[c][r & r2]
+                assert q.leq(q2) == (r <= r2)
+                assert q.join(q2) == by_relation[c][_transitive_closure(r | r2)]
+            for f in site.morphisms_into(c):
+                pulled = frozenset((u, v) for u in site.morphisms_into(site.src[f])
+                                   for v in site.morphisms_into(site.src[f])
+                                   if (site.compose(f, u), site.compose(f, v)) in r)
+                assert q.precompose(f) == by_relation[site.src[f]][pulled]
+
+
 def test_enumeration_counts():
     idem = fixtures.idempotent_monoid_site()
     assert len(enumerate_quotient_objects(idem, "*")) == 2
@@ -309,6 +361,15 @@ def test_full_transformation_monoid_classifier_is_pinned(then, count, digest):
     assert hashlib.sha256(keys).hexdigest() == digest
 
 
+def test_full_transformation_monoid_lsc_report_is_pinned():
+    # the derived blocks and the action, normalization, meet and leq tables
+    # of a 27-arrow site, |Xi| = 120, rendered as the CLI's lsc report
+    L = build_lsc(full_transformation_monoid(then=False))
+    text = render(lsc_report(L), "machine")
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "2f4adcae861af7984e3751d04a3f205c01fcfb51da566edfbef6891419dca925"
+
+
 @pytest.mark.parametrize("site", [fixtures.graph_site(), fixtures.chain_site(3),
                                   fixtures.idempotent_monoid_site(),
                                   fixtures.dihedral_4().site()],
@@ -354,6 +415,16 @@ def test_congruence_equality_iff_same_canonical_form(idem):
     q2 = RepCongruence(idem, "*", {"*": [["1", "x"]]})
     assert q1 == q2 and hash(q1) == hash(q2)
     assert q1 != RepCongruence.discrete(idem, "*")
+
+
+def test_congruences_of_another_site_are_not_equal(idem):
+    # the same block ids on differently named arrows are a different partition
+    z2 = fixtures.cyclic_group(2).site()
+    for make in (RepCongruence.discrete, RepCongruence.total):
+        assert make(z2, "*").labels == make(idem, "*").labels
+        assert make(z2, "*") != make(idem, "*")
+    assert RepCongruence.discrete(z2, "*") == RepCongruence.discrete(
+        fixtures.cyclic_group(2).site(), "*")
 
 
 def test_quotient_of_representable_is_functorial(graph):

@@ -148,38 +148,38 @@ def test_joint_surjectivity_witnesses(d4_lsc):
 
 # --- the order structure ---------------------------------------------------------
 
-def test_meet_is_subgroup_intersection_on_d4(d4, d4_lsc):
+def test_meet_is_subgroup_intersection_on_d4(d4):
     named = fixtures.d4_named_subgroups(d4)
     q1 = subgroup_to_congruence(d4, named["<t,s2>"])
     q2 = subgroup_to_congruence(d4, named["<s>"])
-    met = d4_lsc.meet(q1, q2)
+    met = q1.meet(q2)
     # oracle: brute-force member intersection
     intersection = named["<t,s2>"].members & named["<s>"].members
     assert intersection == {"e", "s2"}
     assert met == subgroup_to_congruence(d4, named["<s2>"])
 
 
-def test_leq_matches_subgroup_inclusion(d4, d4_lsc):
+def test_leq_matches_subgroup_inclusion(d4):
     named = fixtures.d4_named_subgroups(d4)
     fwd = lambda n: subgroup_to_congruence(d4, named[n])
-    assert d4_lsc.leq(fwd("<t>"), fwd("<t,s2>"))
-    assert not d4_lsc.leq(fwd("<t,s2>"), fwd("<t>"))
-    assert d4_lsc.leq(fwd("<t>"), fwd("<t>"))
-    assert not d4_lsc.leq(fwd("<t>"), fwd("<st,s2>"))
+    assert fwd("<t>").leq(fwd("<t,s2>"))
+    assert not fwd("<t,s2>").leq(fwd("<t>"))
+    assert fwd("<t>").leq(fwd("<t>"))
+    assert not fwd("<t>").leq(fwd("<st,s2>"))
 
 
 def test_meet_with_top_is_identity(d4_lsc):
     top = d4_lsc.top_at("*")
     for q in d4_lsc.elements("*"):
-        assert d4_lsc.meet(q, top) == q
-        assert d4_lsc.leq(q, top)
+        assert q.meet(top) == q
+        assert q.leq(top)
 
 
 def test_meet_rejects_mixed_objects(graph_lsc):
     qv = graph_lsc.elements("V")[0]
     qe = graph_lsc.elements("E")[0]
     with pytest.raises(ObjectMismatch):
-        graph_lsc.meet(qv, qe)
+        qv.meet(qe)
 
 
 def test_semilattice_laws_exhaustive(d4_lsc):
@@ -188,7 +188,7 @@ def test_semilattice_laws_exhaustive(d4_lsc):
         assert q1.meet(q1) == q1
         for q2 in xs:
             assert q1.meet(q2) == q2.meet(q1)
-            assert d4_lsc.leq(q1, q2) == (q1.meet(q2) == q1)
+            assert q1.leq(q2) == (q1.meet(q2) == q1)
 
 
 def test_action_is_monotone_and_preserves_meets(d4_lsc):

@@ -175,6 +175,25 @@ def test_categorical_equals_brute_force_on_small_groups():
             assert N == normalizer_direct(G, H), (G.label, H)
 
 
+def test_group_report_enumerates_subgroups_once(monkeypatch):
+    from toposlsc import normalize, reports
+
+    G = fixtures.dihedral_4()
+    L = build_lsc(G.site())
+    calls = []
+
+    def counting(group):
+        calls.append(group)
+        return subgroups(group)
+
+    for module in (normalize, reports):
+        if hasattr(module, "subgroups"):
+            monkeypatch.setattr(module, "subgroups", counting)
+    payload = reports.group_report(G, L)["payload"]
+    assert len(calls) == 1
+    assert len(payload["subgroups"]) == 10
+
+
 def test_normalization_lemma_on_bundled_groups():
     for G in fixtures.bundled_groups().values():
         L = build_lsc(G.site())
