@@ -3,7 +3,7 @@
 Subcommands: `lsc` (classifier of a category file), `group` (subgroup lattice
 and normalization arrows), `words` (regex / DFA workbench), `verify` (the
 invariant suites).  Exit codes: 0 all good, 1 a verification check failed,
-2 malformed input, 3 budget exceeded.
+2 malformed input, 3 budget exceeded, 4 internal error.
 """
 
 import argparse
@@ -147,6 +147,9 @@ def main(argv=None):
     except ToposError as exc:
         print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect in the tool; exit 1 stays a failed verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

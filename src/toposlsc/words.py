@@ -9,8 +9,13 @@ structural equality coincides with pointed isomorphism.  A `Dfa` is the same
 type plus a set of accepting states, so validation, canonical numbering,
 `letter` and `run` exist once.  One breadth-first exploration, `_explore`,
 numbers new states everywhere: the canonical form, the subset construction,
-the pointed product behind meets and the transition monoid, whose
-exploration rows are its right Cayley graph.
+the pointed product behind meets and the orbit fold, and the transition
+monoid, whose exploration rows are its right Cayley graph.  One partition
+refiner, `_refine` (Hopcroft's smaller-half worklist), serves minimization,
+starting from the accepting flags, and `state_classes`, starting from labels
+of strongly connected components; each block of the latter is then split
+into pointed-isomorphism classes by lockstep isomorphism attempts, so no
+state's future is canonicalized on its own.
 
 Only finite-index congruences are representable.  That is exactly the orbit-
 finite fragment in which regular languages live; non-regular languages have
@@ -23,7 +28,6 @@ monoids via transition monoids, orbit infima, and the normalization operator
 that groups states by the pointed-isomorphism class of their futures.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -359,60 +363,83 @@ class Dfa(RightCongruence):
         return f"Dfa({self.n} states over {''.join(self.alphabet)!r})"
 
 
-def _hopcroft_blocks(n, delta, accepting):
-    """Hopcroft partition refinement; returns a block id per state."""
-    k = len(delta[0]) if n else 0
-    acc = frozenset(accepting)
-    non = frozenset(range(n)) - acc
-    partition = [s for s in (acc, non) if s]
-    work = [s for s in (acc, non) if s]
-    preimage = [[set() for _ in range(n)] for _ in range(k)]
-    for s in range(n):
-        for a in range(k):
-            preimage[a][delta[s][a]].add(s)
+def _refine(n, delta, labels):
+    """The coarsest partition of the states 0..n-1 that refines ``labels``
+    and is stable under every letter: two states of one block go to one
+    block by each letter.  Returns a block id per state.
+
+    Hopcroft's algorithm with the smaller-half worklist.  Each block is a
+    contiguous range of ``elems`` whose marked states are moved to its
+    front, so a split costs the size of the marked part, not of the block
+    (Valmari and Lehtinen, STACS 2008).  O(kn log n) for k letters.
+    """
+    ids = {}
+    block = [ids.setdefault(label, len(ids)) for label in labels]
+    elems = sorted(range(n), key=block.__getitem__)
+    loc = [0] * n
+    first, end = [0] * len(ids), [0] * len(ids)
+    for i, s in enumerate(elems):
+        loc[s] = i
+        end[block[s]] = i + 1
+    for b in range(1, len(ids)):
+        first[b] = end[b - 1]
+    marked = first[:]  # block b's marked states are elems[first[b]:marked[b]]
+    preimages = [[[] for _ in range(n)] for _ in delta[0]]
+    for s, row in enumerate(delta):
+        for pre, t in zip(preimages, row):
+            pre[t].append(s)
+    # with a total transition function, stability under all blocks but one
+    # implies stability under the last, so the largest never waits
+    largest = max(range(len(ids)), key=lambda b: end[b] - first[b], default=0)
+    waiting = [b != largest for b in range(len(ids))]
+    work = [b for b in range(len(ids)) if waiting[b]]
     while work:
-        splitter = work.pop()
-        for a in range(k):
-            hits = set()
-            for q in splitter:
-                hits |= preimage[a][q]
-            if not hits:
-                continue
-            next_partition = []
-            for block in partition:
-                inside = block & hits
-                outside = block - hits
-                if inside and outside:
-                    next_partition.extend((frozenset(inside), frozenset(outside)))
-                    if block in work:
-                        work.remove(block)
-                        work.extend((frozenset(inside), frozenset(outside)))
-                    else:
-                        work.append(frozenset(min(inside, outside, key=len)))
+        c = work.pop()
+        waiting[c] = False
+        splitter = elems[first[c]:end[c]]
+        for pre in preimages:
+            touched = []
+            for t in splitter:
+                for s in pre[t]:
+                    b = block[s]
+                    i, j = loc[s], marked[b]
+                    if i >= j:
+                        if j == first[b]:
+                            touched.append(b)
+                        u = elems[j]
+                        elems[i], elems[j] = u, s
+                        loc[u], loc[s] = i, j
+                        marked[b] = j + 1
+            for b in touched:
+                lo, hi = first[b], marked[b]
+                if hi == end[b]:
+                    marked[b] = lo
+                    continue
+                # the marked part becomes a new block; b keeps the rest
+                new = len(first)
+                first.append(lo)
+                end.append(hi)
+                marked.append(lo)
+                first[b] = marked[b] = hi
+                for i in range(lo, hi):
+                    block[elems[i]] = new
+                if waiting[b] or hi - lo <= end[b] - hi:
+                    waiting.append(True)
+                    work.append(new)
                 else:
-                    next_partition.append(block)
-            partition = next_partition
-    block_of = [0] * n
-    for i, block in enumerate(partition):
-        for s in block:
-            block_of[s] = i
-    return block_of
+                    waiting.append(False)
+                    waiting[b] = True
+                    work.append(b)
+    return block
 
 
 def minimize(d):
     """The minimal complete DFA of the same language, canonically numbered."""
-    block_of = _hopcroft_blocks(d.n, d.delta, d.accepting)
-    reps = {}
-    for s in range(d.n):
-        reps.setdefault(block_of[s], s)
-    ids = {b: i for i, b in enumerate(sorted(reps, key=reps.get))}
-    m = len(ids)
-    delta = [[0] * len(d.alphabet) for _ in range(m)]
-    for b, s in reps.items():
-        for a in range(len(d.alphabet)):
-            delta[ids[b]][a] = ids[block_of[d.delta[s][a]]]
-    accepting = {ids[block_of[s]] for s in d.accepting}
-    return Dfa(d.alphabet, m, ids[block_of[d.initial]], accepting, delta)
+    block = _refine(d.n, d.delta, [s in d.accepting for s in range(d.n)])
+    rows = [None] * (max(block) + 1)
+    for s, row in enumerate(d.delta):
+        rows[block[s]] = [block[t] for t in row]
+    return Dfa(d.alphabet, len(rows), block[0], {block[s] for s in d.accepting}, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +568,16 @@ def _check_same_alphabet(a, b):
         raise AlphabetMismatch(f"{a.alphabet!r} vs {b.alphabet!r}")
 
 
+def _product_rows(rows1, rows2, start):
+    """Rows of the part of the product of two transition systems reachable
+    from the pair ``start``, numbered breadth-first: its canonical form."""
+    return _explore(start, lambda pq: zip(rows1[pq[0]], rows2[pq[1]]))[1]
+
+
 def congruence_meet(rc1, rc2):
     """Intersection of the relations: reachable part of the pointed product."""
     _check_same_alphabet(rc1, rc2)
-    d1, d2 = rc1.delta, rc2.delta
-    _, rows = _explore((0, 0), lambda pq: zip(d1[pq[0]], d2[pq[1]]))
-    return RightCongruence(rc1.alphabet, rows)
+    return RightCongruence(rc1.alphabet, _product_rows(rc1.delta, rc2.delta, (0, 0)))
 
 
 def congruence_leq(rc1, rc2):
@@ -638,42 +669,169 @@ def syntactic_congruence(d):
 
 
 def orbit_of(rc):
-    """The (finite) orbit { rc * w }: one congruence per state, deduplicated."""
-    return list(dict.fromkeys(state_congruence(rc, q) for q in range(rc.n)))
+    """The (finite) orbit { rc * w }: one congruence per state class."""
+    first = {}
+    for q, c in enumerate(state_classes(rc)):
+        first.setdefault(c, q)
+    return [state_congruence(rc, q) for q in first.values()]
 
 
 def orbit_meet_check(rc, syn):
     """Fold the meet over the orbit of rc and compare it with syn, the
     syntactic congruence the caller computed through the transition monoid.
-    Returns the meet and whether the two routes agree."""
-    meet = functools.reduce(congruence_meet, orbit_of(rc))
+    Returns the meet and whether the two routes agree.
+
+    The orbit's members are rc pointed at each state, so the fold takes the
+    pointed product of the meet so far with (rc.delta, q) for every state q.
+    Each product is numbered breadth-first from its root, which is already
+    the canonical form, so only the result is built as a congruence.
+    """
+    rows = rc.delta
+    for q in range(1, rc.n):
+        rows = _product_rows(rows, rc.delta, (0, q))
+    meet = RightCongruence(rc.alphabet, rows)
     return meet, meet == syn
+
+
+def _sccs(delta):
+    """Strongly connected components of the states reachable from 0, each a
+    list, in the order Tarjan's algorithm completes them: a component comes
+    after every component it reaches."""
+    index = [-1] * len(delta)
+    low = [0] * len(delta)
+    on_stack = [False] * len(delta)
+    stack, comps, todo = [], [], []
+    visited = 0
+
+    def enter(v):
+        nonlocal visited
+        index[v] = low[v] = visited
+        visited += 1
+        stack.append(v)
+        on_stack[v] = True
+        todo.append((v, iter(delta[v])))
+
+    enter(0)
+    while todo:
+        v, successors = todo[-1]
+        for w in successors:
+            if index[w] < 0:
+                enter(w)
+                break
+            if on_stack[w] and index[w] < low[v]:
+                low[v] = index[w]
+        else:
+            todo.pop()
+            if todo and low[v] < low[todo[-1][0]]:
+                low[todo[-1][0]] = low[v]
+            if low[v] == index[v]:
+                comp = []
+                while not comp or comp[-1] != v:
+                    comp.append(stack.pop())
+                    on_stack[comp[-1]] = False
+                comps.append(comp)
+    return comps
+
+
+def state_classes(rc):
+    """The pointed-isomorphism classes of the states' accessible futures:
+    a class id per state, numbered by first occurrence.
+
+    1. Label each state by its strongly connected component's size, its
+       in-degree per letter from inside the component, and whether each
+       letter stays in the component.  A pointed isomorphism of accessible
+       parts preserves these labels, because the components of a
+       successor-closed part are components of the whole system.
+    2. Refine the labels with `_refine`.  Isomorphic futures are a stable
+       partition refining the labels, so each block is a union of classes.
+    3. Confirm: for each component, in completion order, try its least state
+       r unless r is already merged with another state.  Step r in lockstep
+       with every state q of its block not yet merged with r; if the pairs
+       (r.w, q.w) form a bijection, merge every pair.  A pointed isomorphism
+       is fixed by where its root goes, and all states of a component share
+       one accessible part, so merging is closed under stepping and each
+       component's states meet all their partners.  A merged r was paired
+       with a state of a component completed earlier, which met all of r's
+       partners already: completion order is what makes skipping r safe.
+    4. Number the merged classes by first occurrence.
+    """
+    delta = rc.delta
+    n = rc.n
+    comp_of = [0] * n
+    size = [0] * n
+    comps = _sccs(delta)
+    for c, comp in enumerate(comps):
+        for s in comp:
+            comp_of[s], size[s] = c, len(comp)
+    indegree = [[0] * len(rc.alphabet) for _ in range(n)]
+    for s, row in enumerate(delta):
+        for a, t in enumerate(row):
+            if comp_of[t] == comp_of[s]:
+                indegree[t][a] += 1
+    block = _refine(n, delta, [
+        (size[s], tuple(indegree[s]), tuple(comp_of[t] == comp_of[s] for t in delta[s]))
+        for s in range(n)])
+    members = {}
+    for s in range(n):
+        members.setdefault(block[s], []).append(s)
+
+    parent = list(range(n))
+
+    def find(s):
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        return s
+
+    def lockstep(r, q):
+        image, preimage = {r: q}, {q: r}
+        todo = [r]
+        while todo:
+            x = todo.pop()
+            for x2, y2 in zip(delta[x], delta[image[x]]):
+                y = image.get(x2)
+                if y is None:
+                    if y2 in preimage:
+                        return None
+                    image[x2], preimage[y2] = y2, x2
+                    todo.append(x2)
+                elif y != y2:
+                    return None
+        return image
+
+    merged = [False] * n
+    for comp in comps:
+        r = min(comp)
+        if merged[r]:
+            continue
+        for q in members[block[r]]:
+            if find(q) == find(r):
+                continue
+            image = lockstep(r, q)
+            if image is not None:
+                for x, y in image.items():
+                    if x != y:
+                        parent[find(x)] = find(y)
+                        merged[x] = merged[y] = True
+    ids = {}
+    return [ids.setdefault(find(s), len(ids)) for s in range(n)]
 
 
 def words_normalization_operator(rc):
     """xi_Xi on words: relates u, v iff rc * u = rc * v.
 
     States are grouped by the pointed-isomorphism class of their accessible
-    futures (canonical-form hashing); the quotient transition structure is
-    well-defined because pointed isomorphism commutes with stepping.  The
-    result is always finite, witnessing that the image stays orbit-finite.
+    futures (`state_classes`); the quotient transition structure is
+    well-defined because pointed isomorphism commutes with stepping, and
+    that is checked on every transition.  The result is always finite,
+    witnessing that the image stays orbit-finite.
     """
-    classes = {}
-    cls_of = []
-    for q in range(rc.n):
-        cf = state_congruence(rc, q)
-        cls_of.append(classes.setdefault(cf, len(classes)))
-    reps = {}
-    for q in range(rc.n):
-        reps.setdefault(cls_of[q], q)
-    k = len(rc.alphabet)
-    rows = [[cls_of[rc.delta[reps[c]][a]] for a in range(k)]
-            for c in range(len(classes))]
-    for q in range(rc.n):
-        for a in range(k):
-            assert cls_of[rc.delta[q][a]] == rows[cls_of[q]][a], \
-                "state classes are not transition-compatible"
-    return RightCongruence(rc.alphabet, rows, cls_of[0])
+    cls = state_classes(rc)
+    rows = {}
+    for q, row in enumerate(rc.delta):
+        image = [cls[t] for t in row]
+        if rows.setdefault(cls[q], image) != image:
+            raise RuntimeError("state classes are not transition-compatible")
+    return RightCongruence(rc.alphabet, [rows[c] for c in range(len(rows))])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from toposlsc import fixtures, io
+from toposlsc import cli, fixtures, io
 from toposlsc.cli import main
 from toposlsc.errors import InputFormatError
 from toposlsc.lsc import build_lsc
@@ -380,3 +380,15 @@ def test_cli_machine_report_on_demo_data_is_pinned(capsys, monkeypatch, command,
     assert main(["--format", "machine", *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DEMO_REPORT_DIGESTS[command, name]
+
+
+def test_cli_internal_error_exits_4_without_traceback(capsys, monkeypatch):
+    # exit 1 means a failed verdict and nothing else, so a defect gets its own code
+    def broken(args, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_words", broken)
+    assert main(["words", "--regex", "a", "--alphabet", "a"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"

@@ -1,9 +1,15 @@
+import functools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perfbench.inputs import connected_dfa
 from toposlsc.errors import (
     AlphabetMismatch,
     RegexSyntaxError,
@@ -36,6 +42,7 @@ from toposlsc.words import (
     regex_to_min_dfa,
     residual_count_by_words,
     residual_count_dfa,
+    state_classes,
     state_congruence,
     syntactic_congruence,
     syntactically_equivalent_bruteforce,
@@ -44,6 +51,8 @@ from toposlsc.words import (
     words_upto,
     words_normalization_operator,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # --- parsing -------------------------------------------------------------------
@@ -308,6 +317,19 @@ def test_words_report_minimizes_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_words_report_classifies_states_once(monkeypatch):
+    # 300 states with a 300-element monoid: one RightCongruence per congruence
+    # the report names (Nerode, syntactic, orbit meet, normalization image),
+    # not one per state
+    d = regex_to_min_dfa("a" * 298, "a")
+    assert d.n == 300
+    built = _count_calls(monkeypatch, "RightCongruence")
+    classified = _count_calls(monkeypatch, "state_classes")
+    words_report(d)
+    assert len(classified) == 1
+    assert len(built) <= 4
+
+
 def test_orbit_size_and_monoid_table_on_random_dfas():
     rng = random.Random(2718)
     for i in range(30):
@@ -347,6 +369,27 @@ def test_normalization_groups_isomorphic_futures():
     assert image.index == 2
 
 
+def test_incompatible_state_classes_are_an_internal_error(monkeypatch):
+    # the guard is a raise, not an assert, so it also holds under `python -O`
+    # (ab)*: state 0 goes to classes 0, 1 and state 1 to classes 1, 0
+    monkeypatch.setattr(words, "state_classes", lambda rc: [0, 0, 1])
+    rc = nerode_congruence(regex_to_min_dfa("(ab)*", "ab"))
+    with pytest.raises(RuntimeError, match="not transition-compatible"):
+        words_normalization_operator(rc)
+    script = ("from toposlsc import cli, words\n"
+              "words.state_classes = lambda rc: [0, 0, 1]\n"
+              "raise SystemExit(cli.main(['words', '--regex', '(ab)*', '--alphabet', 'ab']))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert result.stderr == ("internal error: RuntimeError: "
+                             "state classes are not transition-compatible\n")
+
+
 def test_normalization_fixes_top():
     top = top_congruence("ab")
     assert words_normalization_operator(top) == top
@@ -358,6 +401,122 @@ def test_normalization_inflationary_on_random_dfas():
         d = random_min_dfa(rng, 6, "ab" if i % 2 else "abc")
         rc = nerode_congruence(d)
         assert congruence_leq(rc, words_normalization_operator(rc))
+
+
+# --- state classes ----------------------------------------------------------------------------------
+
+def _random_system(rng, k):
+    n = rng.randint(1, 12)
+    return [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+
+
+def _de_bruijn(rng, k):
+    # the ends-m automata: the state is the last m letters, one block holds all
+    size = k ** rng.randint(1, 4)
+    return [[(s * k + a) % size for a in range(k)] for s in range(size)]
+
+
+def _tree_into_sink(rng, k):
+    # a complete k-ary tree of depth 1-3 whose leaves go to a sink
+    rows, level = [None], [0]
+    for _ in range(rng.randint(1, 3)):
+        children = []
+        for s in level:
+            rows[s] = list(range(len(rows), len(rows) + k))
+            children += rows[s]
+            rows += [None] * k
+        level = children
+    sink = len(rows)
+    for s in level:
+        rows[s] = [sink] * k
+    return rows + [[sink] * k]
+
+
+def _chained_copies(rng, k):
+    # copies of one random strongly connected system (a cycle on the first
+    # letter plus random transitions), each copy's state 0 leaving for the
+    # next copy by the last letter
+    size, count = rng.randint(1, 4), rng.randint(2, 4)
+    base = [[(s + 1) % size] + [rng.randrange(size) for _ in range(k - 1)]
+            for s in range(size)]
+    rows = []
+    for i in range(count):
+        rows += [[i * size + t for t in row] for row in base]
+        if i + 1 < count:
+            rows[i * size][k - 1] = (i + 1) * size
+    return rows
+
+
+def _cyclic_shifts(rng, k):
+    # letter a adds c_a modulo the size: every rotation is an automorphism
+    size = rng.randint(1, 7)
+    shifts = [rng.randrange(size) for _ in range(k)]
+    return [[(s + c) % size for c in shifts] for s in range(size)]
+
+
+STATE_CLASS_FAMILIES = {
+    "random": _random_system,
+    "de-bruijn": _de_bruijn,
+    "tree-into-sink": _tree_into_sink,
+    "chained-copies": _chained_copies,
+    "cyclic-shifts": _cyclic_shifts,
+}
+
+
+def _under_a_root(rng, rows, k):
+    """A new initial state whose letters enter random states of disjoint
+    copies of ``rows``: copies of one state have isomorphic futures."""
+    size = len(rows)
+    copies = [[c * size + 1 + t for t in row] for c in range(k) for row in rows]
+    return [[c * size + 1 + rng.randrange(size) for c in range(k)]] + copies
+
+
+def _accessible_part(rows, q):
+    """The states reachable from q in increasing original order (not the
+    canonical numbering), as (rows, initial)."""
+    seen, todo = {q}, [q]
+    while todo:
+        for t in rows[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    order = sorted(seen)
+    position = {s: i for i, s in enumerate(order)}
+    return [[position[t] for t in rows[s]] for s in order], position[q]
+
+
+@pytest.mark.parametrize("letters", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(STATE_CLASS_FAMILIES))
+def test_state_classes_are_the_pointed_isomorphism_classes(family, letters):
+    rng = random.Random(f"{family} {letters}")
+    for i in range(40):
+        rows = STATE_CLASS_FAMILIES[family](rng, letters)
+        if i % 2:
+            rows = _under_a_root(rng, rows, letters)
+        rc = RightCongruence("abc"[:letters], rows)
+        classes = state_classes(rc)
+        by_form = {}
+        assert classes == [by_form.setdefault(state_congruence(rc, q), len(by_form))
+                           for q in range(rc.n)]
+        if rc.n <= 8:
+            for q in range(rc.n):
+                for p in range(q):
+                    iso = find_pointed_isomorphism(_accessible_part(rc.delta, p),
+                                                   _accessible_part(rc.delta, q))
+                    assert (iso is not None) == (classes[p] == classes[q])
+
+
+def test_state_classes_of_one_state_and_of_the_empty_alphabet():
+    assert state_classes(top_congruence("")) == [0]
+    assert state_classes(top_congruence("ab")) == [0]
+    assert words_normalization_operator(top_congruence("")) == top_congruence("")
+
+
+def test_state_classes_need_a_bijection_not_a_homomorphism():
+    # states 1 and 2 share a block, and 1's future (two sinks) maps onto 2's
+    # (one sink), but the two futures are not isomorphic
+    rc = RightCongruence("ab", [[1, 2], [3, 4], [5, 5], [3, 3], [4, 4], [5, 5]])
+    assert state_classes(rc) == [0, 1, 2, 3, 3, 3]
 
 
 # --- canonical forms ------------------------------------------------------------------------------
@@ -420,6 +579,15 @@ def test_orbit_meet_identity_on_random_dfas(seed):
     assert orbit_meet_check(nerode_congruence(d), syntactic_congruence(d)[1])[1]
 
 
+@settings(max_examples=30, deadline=None)
+@given(small_seeds, st.sampled_from(["a", "ab", "abc"]))
+def test_orbit_fold_equals_the_meet_of_the_state_congruences(seed, alphabet):
+    rc = nerode_congruence(random_min_dfa(random.Random(seed), 5, alphabet))
+    reference = functools.reduce(congruence_meet,
+                                 [state_congruence(rc, q) for q in range(rc.n)])
+    assert orbit_meet_check(rc, reference) == (reference, True)
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_seeds)
 def test_myhill_nerode_on_random_dfas(seed):
@@ -441,6 +609,43 @@ def test_minimization_preserves_language_and_matches_refinement_oracle(seed):
     assert m.n == residual_count_dfa(d)
     for w in words_upto(("a", "b"), 6):
         assert d.accepts(w) == m.accepts(w)
+
+
+def _same_language(d1, d2):
+    """Exact language equality: every reachable state pair agrees on acceptance."""
+    seen, todo = {(0, 0)}, [(0, 0)]
+    while todo:
+        p, q = todo.pop()
+        if (p in d1.accepting) != (q in d2.accepting):
+            return False
+        for pair in zip(d1.delta[p], d2.delta[q]):
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    return True
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=300), small_seeds)
+def test_minimize_large_random_dfas_against_the_refinement_oracle(n, seed):
+    d = connected_dfa(random.Random(seed), n)
+    m = minimize(d)
+    assert m.n == residual_count_dfa(d)
+    assert _same_language(d, m)
+
+
+@pytest.mark.parametrize("family", sorted(STATE_CLASS_FAMILIES))
+def test_minimize_structured_dfas_against_the_refinement_oracle(family):
+    # copies of one system split blocks that are still waiting as splitters
+    rng = random.Random(f"minimize {family}")
+    for i in range(60):
+        k = 1 + i % 3
+        rows = _under_a_root(rng, STATE_CLASS_FAMILIES[family](rng, k), k)
+        accepting = {s for s in range(len(rows)) if rng.random() < 0.5}
+        d = Dfa("abc"[:k], len(rows), 0, accepting, rows)
+        m = minimize(d)
+        assert m.n == residual_count_dfa(d)
+        assert _same_language(d, m)
 
 
 # --- degenerate alphabets ------------------------------------------------------------------------------
