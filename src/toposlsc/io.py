@@ -33,7 +33,7 @@ def _as_data(source, what):
 
 
 _JSON_TYPE_NAMES = {list: "a list", dict: "an object", str: "a string"}
-_NAME = (str, int)  # JSON values usable as names of objects, states and symbols
+_NAME = (str, int)  # JSON values usable as names of DFA states and symbols
 
 
 def _check_fields(data, what, required, optional=(), types=None):
@@ -73,9 +73,11 @@ def load_category(source):
             raise InputFormatError(f"composition entry {e!r} is not an object")
         _check_fields(e, "composition entry", ("g", "f", "result"))
         names += e.values()
-    if not all(isinstance(x, _NAME) for x in names):
+    # identities keys are JSON strings, so any other name could never match them
+    bad = [x for x in names if not isinstance(x, str)]
+    if bad:
         raise InputFormatError("category objects and morphisms must be named by "
-                               "strings or integers")
+                               f"strings, not {bad[0]!r}")
     seen_pairs = set()
     for e in data["composition"]:
         pair = (e["g"], e["f"])

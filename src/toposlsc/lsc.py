@@ -6,6 +6,12 @@ congruences.  A morphism f: a -> b acts by precomposition.  Xi carries the
 canonical cocone { xi_X: X -> Xi } sending an element to the kernel congruence
 of its classifying morphism, and a meet-semilattice structure given by
 intersection of congruences with the total congruence on top.
+
+Every value of the action and of a cocone component is looked up in Xi(c) and
+is the carrier's own instance; a congruence missing from Xi(c) raises.  The
+functoriality of the action and the naturality of each component hold by
+construction (they are identities of `precompose` and `from_labels`), so they
+are not re-checked here: the tests check them once per site.
 """
 
 from .certificates import Certificate
@@ -22,14 +28,24 @@ from .fincat import (
 
 
 class LocalStateClassifier:
-    """Xi together with its site, order structure and distinguished top."""
+    """Xi together with its site, order structure and distinguished top,
+    built from the carrier Xi(c) of each object."""
 
-    def __init__(self, site, xi, top):
+    def __init__(self, site, carrier):
         self.site = site
-        self.xi = xi          # Presheaf whose elements are RepCongruence values
-        self.top = top        # object -> total congruence
-        self._index = {c: {q: i for i, q in enumerate(xi.elements(c))}
-                       for c in site.objects}
+        self._index = {c: {q: i for i, q in enumerate(qs)} for c, qs in carrier.items()}
+        # the action's values are interned, which needs the carrier in place first
+        self.xi = Presheaf(site, carrier, {}, check=False)
+        self.xi.action = {name: {q: self._intern(s, q.precompose(name)) for q in carrier[d]}
+                          for name, s, d in site.morphisms}
+        self.top = {c: self._intern(c, RepCongruence.total(site, c)) for c in site.objects}
+
+    def _intern(self, c, q):
+        """The carrier's instance of q; q missing from Xi(c) is a defect."""
+        i = self._index[c].get(q)
+        if i is None:
+            raise RuntimeError(f"{q!r} is not in Xi({c!r})")
+        return self.xi.carrier[c][i]
 
     def elements(self, c):
         return self.xi.elements(c)
@@ -57,16 +73,11 @@ class LocalStateClassifier:
 def build_lsc(cat, cap=DEFAULT_BUDGET):
     """Enumerate Xi(c) for every object and assemble the classifier presheaf.
 
-    The action is verified functorial on construction; element order at each
-    object is the canonical congruence order, so rebuilding is deterministic.
+    Element order at each object is the canonical congruence order, so
+    rebuilding is deterministic; each action value is the carrier's instance.
     """
-    carrier = {c: enumerate_quotient_objects(cat, c, cap) for c in cat.objects}
-    action = {}
-    for name, s, d in cat.morphisms:
-        action[name] = {q: q.precompose(name) for q in carrier[d]}
-    xi = Presheaf(cat, carrier, action, check=True)
-    top = {c: RepCongruence.total(cat, c) for c in cat.objects}
-    return LocalStateClassifier(cat, xi, top)
+    return LocalStateClassifier(
+        cat, {c: enumerate_quotient_objects(cat, c, cap) for c in cat.objects})
 
 
 def xi_component(L, X):
@@ -74,16 +85,15 @@ def xi_component(L, X):
 
     At c it sends x to the congruence relating u, v: a -> c whenever
     x.u = x.v; that is the kernel congruence of the classifying morphism
-    y(c) -> X of x.
+    y(c) -> X of x, returned as the instance of Xi(c).
     """
     if not L.site.same_site(X.site):
         raise SiteMismatch("presheaf does not live on the classifier's site")
     cat = L.site
-    comps = {}
-    for c in cat.objects:
-        comps[c] = {x: RepCongruence.from_labels(cat, c, lambda u: X.act(x, u))
-                    for x in X.elements(c)}
-    return PresheafMorphism(X, L.xi, comps, check=True)
+    comps = {c: {x: L._intern(c, RepCongruence.from_labels(cat, c, lambda u: X.act(x, u)))
+                 for x in X.elements(c)}
+             for c in cat.objects}
+    return PresheafMorphism(X, L.xi, comps, check=False)
 
 
 def verify_meet_compatibility(L, presheaves):

@@ -4,8 +4,10 @@ The operator itself is nothing group-specific: it is the cocone component of
 the classifier at the classifier, computed by the generic `xi_component`.  For
 a one-object site coming from a group G, elements of Xi are the right-coset
 partitions of subgroups, the action is conjugation, and the operator sends the
-partition of H to the partition of its normalizer.  `normalizer_direct` is the
-brute-force group-theoretic computation kept as an independent oracle.
+partition of H to the partition of its normalizer.  So the subgroup lattice
+is read off Xi(*) through that coset bijection, not enumerated a second time.
+`normalizer_direct` is the brute-force group-theoretic computation kept as an
+independent oracle.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from .errors import (
     NotAGroup,
     NotASubgroup,
 )
-from .fincat import FiniteCategory, RepCongruence
+from .fincat import FiniteCategory, RepCongruence, enumerate_quotient_objects
 from .lsc import xi_component
 
 
@@ -140,9 +142,6 @@ class Subgroup:
         return (isinstance(other, Subgroup) and other.group is self.group
                 and other.members == self.members)
 
-    def __le__(self, other):
-        return self.members <= other.members
-
     def __hash__(self):
         return hash(self.members)
 
@@ -165,27 +164,19 @@ def generated_subgroup(G, gens):
     return Subgroup(G, members)
 
 
-def subgroups(G):
-    """All subgroups, as the joins of cyclic subgroups.
+def _lattice_order(subs):
+    """Subgroups sorted by order, then by members in element order."""
+    return tuple(sorted(subs, key=lambda H: (H.order, H.sorted_members)))
 
-    Every subgroup is the join of the cyclic subgroups of its own elements,
-    so closing the trivial subgroup under joins with cyclic subgroups, one
-    at a time, reaches each of them.
+
+def subgroups(G):
+    """All subgroups, read off Xi(*) of G's site through the coset bijection.
+
+    Enumerating Xi(*) is capped by DEFAULT_BUDGET, so a huge group raises
+    BudgetExceeded.
     """
-    cyclic = dict.fromkeys(generated_subgroup(G, [g]) for g in G.elements)
-    trivial = Subgroup(G, {G.identity})
-    found = {trivial}
-    queue = [trivial]
-    while queue:
-        H = queue.pop()
-        for C in cyclic:
-            if C <= H:
-                continue
-            J = generated_subgroup(G, H.members | C.members)
-            if J not in found:
-                found.add(J)
-                queue.append(J)
-    return tuple(sorted(found, key=lambda H: (H.order, H.sorted_members)))
+    return _lattice_order(congruence_to_subgroup(G, q)
+                          for q in enumerate_quotient_objects(G.site(), "*"))
 
 
 def subgroup_to_congruence(G, H):
@@ -258,11 +249,9 @@ def is_dedekind(G):
 
 
 def normalization_table(G, L):
-    """Subgroup -> normalizer subgroup via the categorical route, read off
-    the classifier L of G's site."""
-    op = normalization_operator(L)
-    table = {}
-    for H in subgroups(G):
-        q = subgroup_to_congruence(G, H)
-        table[H] = congruence_to_subgroup(G, op.components["*"][q])
-    return table
+    """Subgroup -> normalizer subgroup via the categorical route, both read
+    off the classifier L of G's site, in the order of `subgroups`."""
+    op = normalization_operator(L).components["*"]
+    sub = {q: congruence_to_subgroup(G, q) for q in L.elements("*")}
+    normalizer = {sub[q]: sub[op[q]] for q in L.elements("*")}
+    return {H: normalizer[H] for H in _lattice_order(normalizer)}

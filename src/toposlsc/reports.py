@@ -78,7 +78,7 @@ def group_report(G, L):
     the categorical operator, and the Dedekind verdict; L is the classifier
     of G's site."""
     table = normalization_table(G, L)
-    subs = list(table)  # subgroups(G), in its order
+    subs = list(table)  # the subgroups read off Xi(*), in the order of subgroups(G)
     pretty = lambda e: G.display.get(e, e)
     label = {H: "{" + ",".join(pretty(e) for e in H.sorted_members) + "}"
              for H in subs}

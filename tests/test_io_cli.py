@@ -250,6 +250,28 @@ def test_cli_invalid_category_exits_2(tmp_path, capsys):
     assert main(["lsc", str(path)]) == 2
 
 
+def _renamed(data, old, new):
+    """The category file with the object or morphism ``old`` named ``new``."""
+    def rename(x):
+        return new if x == old else x
+    data["objects"] = [rename(c) for c in data["objects"]]
+    data["identities"] = {rename(c): rename(i) for c, i in data["identities"].items()}
+    for entry in data["morphisms"] + data["composition"]:
+        entry.update({k: rename(v) for k, v in entry.items()})
+    return data
+
+
+@pytest.mark.parametrize("old,new", [("V", 7), ("s", 5)], ids=["object", "morphism"])
+def test_cli_integer_category_name_exits_2(tmp_path, capsys, old, new):
+    # identities keys are JSON strings, so an integer name could never validate
+    path = tmp_path / "int.cat"
+    path.write_text(json.dumps(_renamed(io.dump_category(fixtures.graph_site()), old, new)))
+    assert main(["lsc", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("malformed input: category objects and morphisms must be named "
+                   f"by strings, not {new}\n")
+
+
 def test_cli_budget_exits_3(tmp_path, capsys):
     path = tmp_path / "d4.group"
     path.write_text(json.dumps(io.dump_group(fixtures.dihedral_4())))

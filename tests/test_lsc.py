@@ -242,3 +242,122 @@ def test_product_projections_and_pairing(d4, d4_lsc):
     paired = pairing([xi_x, xi_x])
     for x in X.elements("*"):
         assert paired.components["*"][x] == (xi_x.components["*"][x],) * 2
+
+
+# --- the laws that hold by construction, certified once per site ---------------
+
+def _law_sites():
+    from perfbench.inputs import elementary_abelian_16
+    from tests.test_fincat import full_transformation_monoid
+    from toposlsc.normalize import monoid_site
+
+    sites = dict(fixtures.bundled_sites())  # the graph, the idempotent monoid, the posets
+    groups = [fixtures.cyclic_group(4), fixtures.dihedral_4(), fixtures.quaternion_8(),
+              fixtures.symmetric_4(), elementary_abelian_16(), fixtures.cyclic_group(24)]
+    sites.update({G.label: G.site() for G in groups})
+    sites["T3 then"] = full_transformation_monoid(then=True)
+    sites["T3 after"] = full_transformation_monoid(then=False)
+    for order in (1, 2, 3):
+        for k, (elements, mult) in enumerate(fixtures.all_monoids(order)):
+            sites[f"monoid{order}-{k}"] = monoid_site(elements,
+                                                      lambda a, b, m=mult: m[(a, b)])
+    return sites
+
+
+LAW_SITES = _law_sites()
+
+
+def _is_interned(L, c, q):
+    return L.elements(c)[L.index_of(c, q)] is q
+
+
+@pytest.mark.parametrize("name", sorted(LAW_SITES))
+def test_xi_laws_and_interning_once_per_site(name):
+    from toposlsc.verify import _sample_presheaves
+
+    site = LAW_SITES[name]
+    L = build_lsc(site)
+    L.xi.check_functorial()
+    for f, s, d in site.morphisms:
+        assert all(_is_interned(L, s, L.act(q, f)) for q in L.elements(d)), f
+    assert all(_is_interned(L, c, L.top_at(c)) for c in site.objects)
+    for X in [*_sample_presheaves(L), L.xi]:
+        xi = xi_component(L, X).check_natural()
+        assert all(_is_interned(L, c, q)
+                   for c in site.objects for q in xi.components[c].values())
+
+
+def test_reports_and_certificates_run_no_law_check(monkeypatch):
+    from toposlsc.fincat import PresheafMorphism
+    from toposlsc.filters import certify_quotient_classifier, full_filter
+    from toposlsc.reports import group_report, lsc_report
+
+    def refuse(self):
+        raise AssertionError("law re-checked at run time")
+
+    monkeypatch.setattr(Presheaf, "check_functorial", refuse)
+    monkeypatch.setattr(PresheafMorphism, "check_natural", refuse)
+    G = fixtures.dihedral_4()
+    L = build_lsc(G.site())
+    assert all(v["pass"] for v in lsc_report(L)["verdicts"])
+    assert all(v["pass"] for v in group_report(G, L)["verdicts"])
+    assert certify_quotient_classifier(full_filter(L)).ok
+
+
+# --- the membership half that stays at run time -----------------------------------
+
+def _dropping(monkeypatch, site, c, q):
+    """Make build_lsc on ``site`` enumerate Xi(c) without q."""
+    import toposlsc.lsc as lsc
+
+    enumerate_all = lsc.enumerate_quotient_objects
+
+    def dropped(cat, obj, cap):
+        found = enumerate_all(cat, obj, cap)
+        return tuple(p for p in found if p != q) if cat is site and obj == c else found
+
+    monkeypatch.setattr(lsc, "enumerate_quotient_objects", dropped)
+
+
+def test_an_action_value_missing_from_xi_raises(monkeypatch, d4):
+    # conjugation by s sends the cosets of <s2t> to those of <t>
+    q = subgroup_to_congruence(d4, fixtures.d4_named_subgroups(d4)["<t>"])
+    _dropping(monkeypatch, d4.site(), "*", q)
+    with pytest.raises(RuntimeError, match=r"is not in Xi\('\*'\)"):
+        build_lsc(d4.site())
+
+
+def test_a_kernel_missing_from_xi_raises(monkeypatch):
+    # only identities act into Xi(E), so the classifier builds without the
+    # discrete congruence; classifying the representable y(E) needs it
+    site = fixtures.graph_site()
+    L = build_lsc(site)
+    discrete = next(q for q in L.elements("E") if q.is_discrete())
+    assert discrete != L.top_at("E")
+    _dropping(monkeypatch, site, "E", discrete)
+    L = build_lsc(site)
+    assert len(L.elements("E")) == 1
+    with pytest.raises(RuntimeError, match=r"is not in Xi\('E'\)"):
+        xi_component(L, representable(site, "E"))
+
+
+@pytest.mark.parametrize("dropped", ["<t>", "<t,s2>"])
+def test_cli_exits_4_when_xi_misses_a_congruence(tmp_path, capsys, monkeypatch, dropped):
+    # <t> is an action value (build_lsc raises); the normal <t,s2> is not, but
+    # it is the normalizer of <t> (the normalization operator raises)
+    import json
+
+    from toposlsc import io
+    from toposlsc.cli import main
+
+    path = tmp_path / "d4.group"
+    path.write_text(json.dumps(io.dump_group(fixtures.dihedral_4())))
+    G = io.load_group(path)
+    monkeypatch.setattr(io, "load_group", lambda source: G)
+    H = fixtures.d4_named_subgroups(G)[dropped]
+    _dropping(monkeypatch, G.site(), "*", subgroup_to_congruence(G, H))
+    assert main(["group", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RuntimeError: ")
+    assert "Traceback" not in captured.err

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -102,6 +103,13 @@ def test_elementary_abelian_16_has_67_subgroups():
     assert len(subgroups(FiniteGroup(names, mult, label="E16"))) == 67
 
 
+def test_z24_has_eight_subgroups():
+    # one per divisor of 24; with E16 and S4 above, these counts and Subgroup's
+    # closure validation show the lattice read off Xi complete where the
+    # brute-force subset test is too slow
+    assert len(subgroups(fixtures.cyclic_group(24))) == 8
+
+
 # --- coset encoding ------------------------------------------------------------
 
 def test_bijection_roundtrip_on_all_d4_subgroups(d4):
@@ -175,23 +183,46 @@ def test_categorical_equals_brute_force_on_small_groups():
             assert N == normalizer_direct(G, H), (G.label, H)
 
 
+def _counting(monkeypatch, modules, names):
+    """Record each call of the named functions, at every module that holds one."""
+    calls = []
+    for module in modules:
+        for name in names:
+            if hasattr(module, name):
+                def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                    calls.append((_name, args))
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def test_group_report_enumerates_subgroups_once(monkeypatch):
-    from toposlsc import normalize, reports
+    # the subgroup lattice is Xi(*), which build_lsc enumerated: neither the
+    # report nor the table enumerates it again
+    from toposlsc import fincat, lsc, normalize, reports
 
     G = fixtures.dihedral_4()
     L = build_lsc(G.site())
-    calls = []
-
-    def counting(group):
-        calls.append(group)
-        return subgroups(group)
-
-    for module in (normalize, reports):
-        if hasattr(module, "subgroups"):
-            monkeypatch.setattr(module, "subgroups", counting)
+    calls = _counting(monkeypatch, (fincat, lsc, normalize, reports),
+                      ("subgroups", "enumerate_quotient_objects"))
     payload = reports.group_report(G, L)["payload"]
-    assert len(calls) == 1
+    normalization_table(G, L)
+    assert calls == []
     assert len(payload["subgroups"]) == 10
+
+
+def test_suite_normalize_enumerates_each_group_once(monkeypatch):
+    from toposlsc import fincat, lsc, normalize, verify
+
+    calls = _counting(monkeypatch, (fincat, lsc, normalize, verify),
+                      ("subgroups", "enumerate_quotient_objects"))
+    assert verify.suite_normalize().ok
+    groups = fixtures.bundled_groups()
+    enumerated = Counter(args[0].signature() for name, args in calls
+                         if name == "enumerate_quotient_objects")
+    assert [name for name, _ in calls if name == "subgroups"] == []
+    assert {label: enumerated[G.site().signature()] for label, G in groups.items()} \
+        == {label: 1 for label in groups}
 
 
 def test_normalization_lemma_on_bundled_groups():
