@@ -29,16 +29,18 @@ def monoid_site(elements, mult, name="*"):
     right compatibility of congruences is closure under right multiplication.
     """
     elements = list(elements)
-    identity = None
-    for e in elements:
-        if all(mult(e, a) == a == mult(a, e) for a in elements):
-            identity = e
-            break
+    identity = _identity(elements, mult)
     if identity is None:
         raise NotAGroup("monoid table has no identity element")
     morphisms = [(a, name, name) for a in elements]
     composition = {(g, f): mult(g, f) for g in elements for f in elements}
     return FiniteCategory([name], morphisms, {name: identity}, composition)
+
+
+def _identity(elements, mult):
+    """The two-sided identity of a finite multiplication, or None."""
+    return next((e for e in elements
+                 if all(mult(e, a) == a == mult(a, e) for a in elements)), None)
 
 
 class FiniteGroup:
@@ -53,11 +55,7 @@ class FiniteGroup:
         self.label = label or "G"
         self.display = dict(display or {})  # element -> pretty name, for reports
         self._mult = dict(mult_table)  # (a, b) -> a*b
-        self.identity = None
-        for e in self.elements:
-            if all(self._mult[(e, a)] == a == self._mult[(a, e)] for a in self.elements):
-                self.identity = e
-                break
+        self.identity = _identity(self.elements, self.mult)
         if self.identity is None:
             raise NotAGroup(f"{self.label}: no identity element")
         self.inverse = {}
@@ -102,7 +100,9 @@ class FiniteGroup:
 
     def site(self):
         if self._site is None:
-            self._site = monoid_site(self.elements, self.mult, name="*")
+            # __init__ checked the group laws, so the site skips a second pass
+            self._site = FiniteCategory(["*"], [(a, "*", "*") for a in self.elements],
+                                        {"*": self.identity}, self._mult, check=False)
         return self._site
 
     def index_table(self):

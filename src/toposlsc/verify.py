@@ -44,6 +44,7 @@ from .normalize import (
 )
 from .words import (
     RightCongruence,
+    _ball,
     congruence_action,
     congruence_leq,
     congruence_meet,
@@ -476,15 +477,7 @@ def _random_trim_automaton(rng, max_states=5):
     n = rng.randint(1, max_states)
     rows = [[rng.randrange(n) for _ in "ab"] for _ in range(n)]
     init = rng.randrange(n)
-    reachable = {init}
-    stack = [init]
-    while stack:
-        s = stack.pop()
-        for t in rows[s]:
-            if t not in reachable:
-                reachable.add(t)
-                stack.append(t)
-    keep = sorted(reachable)
+    keep = sorted(_ball(init, rows.__getitem__, n))
     renumber = {s: i for i, s in enumerate(keep)}
     trimmed = [[renumber[rows[s][a]] for a in range(2)] for s in keep]
     return trimmed, renumber[init]

@@ -25,7 +25,9 @@ The pipeline regex -> NFA -> DFA -> minimal DFA is deliberately standard
 (Thompson, subset construction, Hopcroft); the interesting operations sit on
 top of it: Nerode congruences, the congruence action and meets, syntactic
 monoids via transition monoids, orbit infima, and the normalization operator
-that groups states by the pointed-isomorphism class of their futures.
+that groups states by the pointed-isomorphism class of their futures.  The
+word oracles stay off that pipeline: `regex_member` derives (Brzozowski) with
+a memo per tree, and the two-sided oracle walks bounded breadth-first layers.
 """
 
 import itertools
@@ -175,35 +177,83 @@ def parse_regex(src, alphabet):
     return tree
 
 
+_EMPTY = EmptyLang()
+
+
+def _nullable(node):
+    """Whether the empty word is in the language of node."""
+    if isinstance(node, (EmptyWord, Star)):
+        return True
+    if isinstance(node, Concat):
+        return _nullable(node.left) and _nullable(node.right)
+    if isinstance(node, Alt):
+        return _nullable(node.left) or _nullable(node.right)
+    if isinstance(node, (EmptyLang, Sym)):
+        return False
+    raise TypeError(f"not a regex node: {node!r}")
+
+
+def _cat(left, right):
+    """left right, with the empty language absorbing and the empty word a unit."""
+    if isinstance(left, EmptyLang) or isinstance(right, EmptyLang):
+        return _EMPTY
+    if isinstance(left, EmptyWord):
+        return right
+    return left if isinstance(right, EmptyWord) else Concat(left, right)
+
+
+def _alts(node):
+    if isinstance(node, Alt):
+        return _alts(node.left) + _alts(node.right)
+    return [] if isinstance(node, EmptyLang) else [node]
+
+
+def _alt(left, right):
+    """left | right as a right-nested chain of its distinct alternatives other
+    than the empty language, in first-occurrence order."""
+    *rest, out = dict.fromkeys(_alts(left) + _alts(right)) or [_EMPTY]
+    for node in reversed(rest):
+        out = Alt(node, out)
+    return out
+
+
+def _derive(term, ch):
+    """Brzozowski's derivative of term by the letter ch, the words w with ch w
+    in term.  The smart constructors keep a tree's derivatives finitely many."""
+    def d(node):
+        if isinstance(node, Sym):
+            return EmptyWord() if node.ch == ch else _EMPTY
+        if isinstance(node, Concat):
+            head = _cat(d(node.left), node.right)
+            return _alt(head, d(node.right)) if _nullable(node.left) else head
+        if isinstance(node, Alt):
+            return _alt(d(node.left), d(node.right))
+        if isinstance(node, Star):
+            return _cat(d(node.inner), node)
+        if isinstance(node, (EmptyLang, EmptyWord)):
+            return _EMPTY
+        raise TypeError(f"not a regex node: {node!r}")
+
+    return d(term)
+
+
 def regex_member(tree, word, _memo=None):
-    """Naive structural matcher; the independent membership oracle."""
-    memo = _memo if _memo is not None else {}
-
-    def match(node, s):
-        key = (id(node), s)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(node, EmptyLang):
-            out = False
-        elif isinstance(node, EmptyWord):
-            out = s == ""
-        elif isinstance(node, Sym):
-            out = s == node.ch
-        elif isinstance(node, Alt):
-            out = match(node.left, s) or match(node.right, s)
-        elif isinstance(node, Concat):
-            out = any(match(node.left, s[:i]) and match(node.right, s[i:])
-                      for i in range(len(s) + 1))
-        elif isinstance(node, Star):
-            out = s == "" or any(match(node.inner, s[:i]) and match(node, s[i:])
-                                 for i in range(1, len(s) + 1))
-        else:
-            raise TypeError(f"not a regex node: {node!r}")
-        memo[key] = out
-        return out
-
-    return match(tree, word)
+    """Membership by Brzozowski's derivatives (J. ACM 11(4), 1964): the
+    independent oracle.  ``_memo``, one per tree, maps each prefix derived
+    so far to its derivative; a call derives on from the longest prefix of
+    its word found there, so calls sharing it derive each prefix once."""
+    memo = {} if _memo is None else _memo
+    term = memo.get(word)
+    if term is None:
+        if memo.setdefault("", tree) is not tree:
+            raise ValueError("this memo of regex_member belongs to another tree")
+        i = len(word)
+        while word[:i] not in memo:
+            i -= 1
+        term = memo[word[:i]]
+        for j in range(i, len(word)):
+            term = memo[word[:j + 1]] = _derive(term, word[j])
+    return _nullable(term)
 
 
 def words_upto(alphabet, bound):
@@ -293,9 +343,7 @@ class RightCongruence:
     def n(self):
         return len(self.delta)
 
-    @property
-    def index(self):
-        return len(self.delta)
+    index = n
 
     def letter(self, sym):
         try:
@@ -583,24 +631,20 @@ def congruence_meet(rc1, rc2):
 def congruence_leq(rc1, rc2):
     """Relation inclusion rc1 <= rc2, i.e. [u]_1 |-> [u]_2 is well-defined.
 
-    Decided by checking that the reachable pointed product projects
-    injectively onto rc1's states.
+    Decided by building that map from 0 |-> 0 along rc1's transitions and
+    checking that it commutes with every letter on every one of them.
     """
     _check_same_alphabet(rc1, rc2)
-    k = len(rc1.alphabet)
     image = {0: 0}
-    stack = [(0, 0)]
-    seen = {(0, 0)}
+    stack = [0]
     while stack:
-        p, q = stack.pop()
-        for a in range(k):
-            np, nq = rc1.delta[p][a], rc2.delta[q][a]
-            if (np, nq) in seen:
-                continue
-            seen.add((np, nq))
-            if image.setdefault(np, nq) != nq:
+        p = stack.pop()
+        for np, nq in zip(rc1.delta[p], rc2.delta[image[p]]):
+            if np not in image:
+                image[np] = nq
+                stack.append(np)
+            elif image[np] != nq:
                 return False
-            stack.append((np, nq))
     return True
 
 
@@ -871,22 +915,31 @@ def residual_count_dfa(d, rounds=None):
     return len(set(classes))
 
 
+def _ball(start, successors, radius):
+    """What start reaches in at most radius steps, by breadth-first layers."""
+    seen, layer = {start}, [start]
+    for _ in range(radius):
+        layer = [t for t in dict.fromkeys(t for s in layer for t in successors(s))
+                 if t not in seen]
+        if not layer:
+            break
+        seen.update(layer)
+    return seen
+
+
 def syntactically_equivalent_bruteforce(d, u, v, bound=None):
     """Two-sided check: w u w' in L iff w v w' in L for all |w|, |w'| <= bound.
 
-    The default bound n*n is far larger than needed; contexts are deduplicated
-    through the state reached, which does not change the predicate."""
+    The default bound n*n is far larger than needed.  The same quantifier is
+    taken by breadth-first layers: over the states p some w reaches, the
+    pairs some w' reaches from (p.u, p.v) must agree on acceptance."""
     bound = d.n * d.n if bound is None else bound
-    contexts = words_upto(d.alphabet, bound)
-    left_states = {d.run(w) for w in contexts}
-    for p in left_states:
-        pu = d.run(u, start=p)
-        pv = d.run(v, start=p)
-        if pu == pv:
-            continue
-        for w2 in contexts:
-            if (d.run(w2, start=pu) in d.accepting) != (d.run(w2, start=pv) in d.accepting):
-                return False
+    delta, accepting = d.delta, d.accepting
+    for p in _ball(0, delta.__getitem__, bound):
+        start = (d.run(u, start=p), d.run(v, start=p))
+        pairs = _ball(start, lambda xy: zip(delta[xy[0]], delta[xy[1]]), bound)
+        if any((x in accepting) != (y in accepting) for x, y in pairs):
+            return False
     return True
 
 

@@ -1,8 +1,15 @@
+import copy
+import functools
 import hashlib
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from toposlsc import cli, fixtures, io
 from toposlsc.cli import main
@@ -414,3 +421,112 @@ def test_cli_internal_error_exits_4_without_traceback(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: boom\n"
+
+
+# --- the exit-code contract under fuzzed argv and files ----------------------------
+
+DATA = ROOT / "demos" / "data"
+_BASE_FILES = {"cat": ["chain3.cat", "graph.cat", "idempotent.cat"],
+               "group": ["z4.group", "s3.group"],
+               "dfa": ["abstar.dfa", "ends_in_a.dfa"]}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.text("abq0s", max_size=3),
+    lambda sub: st.lists(sub, max_size=3) | st.dictionaries(st.text("ab", max_size=2), sub,
+                                                            max_size=2),
+    max_leaves=5)
+
+
+def _paths(doc, path=()):
+    """Every position in a JSON document, the root first."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    return [path] + [p for key, value in items for p in _paths(value, path + (key,))]
+
+
+@st.composite
+def _file_text(draw, kind):
+    """A bundled file of the kind, kept, or with one position replaced (by a
+    value found elsewhere in it or by any JSON value), dropped or added, or
+    truncated, or replaced by text."""
+    doc = json.loads((DATA / draw(st.sampled_from(_BASE_FILES[kind]))).read_text())
+    how = draw(st.sampled_from(["keep", "replace", "replace", "drop", "add", "truncate",
+                                "text"]))
+    if how == "text":
+        return draw(st.text(max_size=12))
+    if how in ("replace", "drop"):
+        *where, last = draw(st.sampled_from(_paths(doc)[1:]))
+        parent = doc
+        for key in where:
+            parent = parent[key]
+        if how == "drop":
+            del parent[last]
+        else:
+            found = [p for p in _paths(doc) if p]
+            elsewhere = st.sampled_from(found).map(
+                lambda p: copy.deepcopy(functools.reduce(lambda d, k: d[k], p, doc)))
+            parent[last] = draw(elsewhere | _JSON_VALUES)
+    if how == "add":
+        doc[draw(st.sampled_from(["x", "names", "table", "states"]))] = draw(_JSON_VALUES)
+    text = json.dumps(doc)
+    return text[:draw(st.integers(0, len(text) - 1))] if how == "truncate" else text
+
+
+@st.composite
+def _argv(draw, folder):
+    def written(kind, name):
+        path = folder / name
+        path.write_text(draw(_file_text(kind)))
+        return str(path)
+
+    command = draw(st.sampled_from(["lsc", "group", "dfa", "regex", "verify", "tokens"]))
+    if command == "lsc":
+        argv = ["lsc", written("cat", "input.cat")]
+    elif command == "group":
+        argv = ["group", written("group", "input.group")]
+    elif command == "dfa":
+        argv = ["words", "--dfa", written("dfa", "input.dfa")]
+        argv += draw(st.sampled_from([[], ["--alphabet", "ab"], ["--alphabet", "ba"]]))
+    elif command == "regex":
+        argv = ["words", "--regex", draw(st.text("ab()|*#e0c", min_size=1, max_size=8))]
+        argv += draw(st.sampled_from([[], ["--alphabet", "ab"], ["--alphabet", "abc"],
+                                      ["--alphabet", "aa"], ["--alphabet", "a*"]]))
+    elif command == "verify":
+        (folder / "fixtures").mkdir()
+        written("cat", "fixtures/input.cat")
+        argv = ["verify", "--suite", draw(st.sampled_from(["filters", "everything"])),
+                "--fixtures", str(folder / draw(st.sampled_from(["fixtures", "missing"])))]
+    else:
+        argv = draw(st.lists(st.sampled_from(
+            ["lsc", "group", "words", "--regex", "--dfa", "--alphabet", "--suite", "ab",
+             "(ab)*", "a(", str(DATA / "z4.group"), "--frobnicate", "--help"]), max_size=5))
+    flags = draw(st.lists(st.sampled_from(
+        [["--format", "machine"], ["--format", "human"], ["--budget", "3"],
+         ["--budget", "5000"]] * 3
+        + [["--format", "xml"], ["--budget", "0"], ["--budget", "many"], ["--budget"]]),
+        max_size=2))
+    flags = [token for flag in flags for token in flag]
+    return flags + argv if draw(st.booleans()) else argv + flags
+
+
+def _has_failed_verdict(out):
+    if out.startswith("{"):
+        return any(not v["pass"] for v in json.loads(out)["verdicts"])
+    return any(line.lstrip().startswith("FAIL ") for line in out.splitlines())
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_fuzz_keeps_the_exit_code_contract(monkeypatch, data):
+    monkeypatch.delenv("TOPOS_LSC_BUDGET", raising=False)
+    out, err = StringIO(), StringIO()
+    with tempfile.TemporaryDirectory() as folder:
+        argv = data.draw(_argv(Path(folder)), label="argv")
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+                code = exc.code
+    assert code in (0, 1, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    assert (code == 1) == _has_failed_verdict(out.getvalue()), (argv, code)

@@ -315,3 +315,48 @@ def test_idempotent_monoid_operator_is_identity():
     op = normalization_operator(L)
     assert len(L.elements("*")) == 2
     assert all(op.components["*"][q] == q for q in L.elements("*"))
+
+
+# --- a group's laws are checked once, when the group is built ---------------------
+
+def _checked_groups():
+    from perfbench.inputs import elementary_abelian_16
+
+    groups = fixtures.bundled_groups()  # D4, Q8, S3, S4, Z1-Z6
+    groups.update(E16=elementary_abelian_16(), Z24=fixtures.cyclic_group(24))
+    return groups
+
+
+CHECKED_GROUPS = _checked_groups()
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_GROUPS))
+def test_group_site_laws_once_per_site(name):
+    G = CHECKED_GROUPS[name]
+    site = G.site()
+    assert site.validate() is site
+    assert site.same_site(monoid_site(G.elements, G.mult))
+
+
+def test_group_site_is_built_without_a_second_law_check(monkeypatch):
+    from toposlsc.fincat import FiniteCategory
+
+    def refuse(self):
+        raise AssertionError("group laws re-checked by the site")
+
+    G = fixtures.symmetric_3()
+    monkeypatch.setattr(FiniteCategory, "validate", refuse)
+    assert G.site().morphisms_into("*") == G.elements
+    with pytest.raises(AssertionError, match="re-checked"):
+        monoid_site(G.elements, G.mult)
+
+
+def test_monoid_site_still_checks_an_unchecked_table():
+    from toposlsc.errors import AssociativityViolation
+
+    # a unit 1 with a*a = b, a*b = b, b*a = a, b*b = b: (a*a)*a = a but a*(a*a) = b
+    elements = ["1", "a", "b"]
+    mult = {("1", x): x for x in elements} | {(x, "1"): x for x in elements}
+    mult.update({("a", "a"): "b", ("a", "b"): "b", ("b", "a"): "a", ("b", "b"): "b"})
+    with pytest.raises(AssociativityViolation):
+        monoid_site(elements, lambda x, y: mult[(x, y)])

@@ -16,7 +16,7 @@ from toposlsc.errors import (
     SymbolOutsideAlphabet,
     UnknownState,
 )
-from toposlsc import reports, words
+from toposlsc import fixtures, reports, words
 from toposlsc.reports import words_report
 from toposlsc.words import (
     MAX_GROUP_DEPTH,
@@ -96,7 +96,7 @@ def test_long_regex_compiles_and_deep_nesting_is_a_syntax_error():
     assert err.value.position == MAX_GROUP_DEPTH
 
 
-# --- compilation, cross-checked against the naive matcher -----------------------
+# --- compilation, cross-checked against the membership oracle -------------------
 
 FIXED_REGEXES = ["(ab)*", "(a|b)*a", "a*", "#e", "#0", "a(a|b)*", "b(ab)*",
                  "a*b*", "(a|b)(a|b)"]
@@ -124,6 +124,100 @@ def test_min_dfa_state_counts(expr, states):
     brute = residual_count_by_words(lambda w: regex_member(tree, w, memo),
                                     ("a", "b"), 6, 7)
     assert brute == states
+
+
+# --- membership by derivatives ---------------------------------------------------
+
+def _structural_member(tree, word, memo):
+    """The recursive definition of membership, node by node and split by
+    split: a second, derivative-free reference for regex_member."""
+    key = (id(tree), word)
+    if key not in memo:
+        if isinstance(tree, EmptyLang):
+            out = False
+        elif isinstance(tree, EmptyWord):
+            out = word == ""
+        elif isinstance(tree, Sym):
+            out = word == tree.ch
+        elif isinstance(tree, Alt):
+            out = (_structural_member(tree.left, word, memo)
+                   or _structural_member(tree.right, word, memo))
+        elif isinstance(tree, Concat):
+            out = any(_structural_member(tree.left, word[:i], memo)
+                      and _structural_member(tree.right, word[i:], memo)
+                      for i in range(len(word) + 1))
+        else:
+            out = word == "" or any(_structural_member(tree.inner, word[:i], memo)
+                                    and _structural_member(tree, word[i:], memo)
+                                    for i in range(1, len(word) + 1))
+        memo[key] = out
+    return memo[key]
+
+
+def _regex_trees(alphabet):
+    leaves = st.one_of(st.just(EmptyLang()), st.just(EmptyWord()),
+                       st.sampled_from(alphabet).map(Sym))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Concat, sub, sub), st.builds(Alt, sub, sub), st.builds(Star, sub)),
+        max_leaves=8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alphabet: st.tuples(st.just(alphabet), _regex_trees(alphabet))))
+def test_derivative_membership_agrees_with_the_dfa_and_the_structural_matcher(case):
+    alphabet, tree = case
+    d = regex_to_min_dfa(tree, alphabet)
+    memo, reference = {}, {}
+    for w in words_upto(tuple(alphabet), 7):
+        assert regex_member(tree, w, memo) == d.accepts(w) \
+            == _structural_member(tree, w, reference), (tree, w)
+
+
+def test_derivatives_derive_each_prefix_once(monkeypatch):
+    calls = []
+    derive = words._derive
+
+    def counting(term, ch):
+        calls.append(ch)
+        return derive(term, ch)
+
+    monkeypatch.setattr(words, "_derive", counting)
+    tree = parse_regex("(ab)*", "ab")
+    memo = {}
+    assert residual_count_by_words(lambda w: regex_member(tree, w, memo), ("a", "b"), 6, 7) == 3
+    prefixes = words_upto(("a", "b"), 13)
+    assert len(prefixes) == 16383 and set(memo) == set(prefixes)
+    assert len(calls) <= len(prefixes)
+
+
+def _size(node):
+    if isinstance(node, (Concat, Alt)):
+        return 1 + _size(node.left) + _size(node.right)
+    return 1 + _size(node.inner) if isinstance(node, Star) else 1
+
+
+@pytest.mark.parametrize("expr,alphabet", fixtures.BUNDLED_REGEXES)
+def test_derivative_size_stays_bounded_on_long_words(expr, alphabet):
+    tree = parse_regex(expr, alphabet)
+    rng = random.Random(f"derivatives {expr}")
+    words200 = [ch * 200 for ch in alphabet] + [
+        "".join(rng.choice(alphabet) for _ in range(200)) for _ in range(20)]
+    words200.append((alphabet * 200)[:200])  # (abc)* keeps all 200 letters live
+    for word in words200:
+        term, sizes = tree, []
+        for ch in word:
+            term = words._derive(term, ch)
+            sizes.append(_size(term))
+        assert max(sizes) <= 2 * _size(tree), (expr, word, max(sizes))
+        assert regex_member(tree, word) == regex_to_min_dfa(tree, alphabet).accepts(word)
+
+
+def test_a_memo_serves_one_tree():
+    memo = {}
+    assert regex_member(parse_regex("a*", "ab"), "aa", memo)
+    with pytest.raises(ValueError):
+        regex_member(parse_regex("b*", "ab"), "bb", memo)
 
 
 def test_empty_language_dfa_has_no_accepting_state():
@@ -260,6 +354,37 @@ def test_syntactic_congruence_agrees_with_two_sided_bruteforce():
             for v in words_upto(("a", "b"), 2):
                 assert syn.related(u, v) == \
                     syntactically_equivalent_bruteforce(d, u, v), (expr, u, v)
+
+
+def _two_sided_by_words(d, u, v, bound):
+    """The two-sided test over the context words of length <= bound, left
+    contexts deduplicated through the state they reach."""
+    contexts = words_upto(d.alphabet, bound)
+    for p in {d.run(w) for w in contexts}:
+        pu, pv = d.run(u, start=p), d.run(v, start=p)
+        if pu != pv and any((d.run(w, start=pu) in d.accepting)
+                            != (d.run(w, start=pv) in d.accepting) for w in contexts):
+            return False
+    return True
+
+
+def test_layered_two_sided_oracle_matches_word_enumeration():
+    rng = random.Random("two-sided oracle")
+    dfas = [regex_to_min_dfa(expr, "ab") for expr in ("(ab)*", "(a|b)*a")]
+    dfas += [random_min_dfa(rng, 6, "ab") for _ in range(20)]
+    short = words_upto(("a", "b"), 2)
+    for d in dfas:
+        _, syn = syntactic_congruence(d)
+        # n - 1 letters reach every state of a minimal DFA and tell any two
+        # states apart, so past that the verdict no longer depends on the bound
+        full = d.n * d.n if d.n <= 3 else d.n
+        for u in short:
+            for v in short:
+                assert syntactically_equivalent_bruteforce(d, u, v) == syn.related(u, v) \
+                    == _two_sided_by_words(d, u, v, full), (d, u, v)
+                for bound in (0, 1, 2):
+                    assert syntactically_equivalent_bruteforce(d, u, v, bound) \
+                        == _two_sided_by_words(d, u, v, bound), (d, u, v, bound)
 
 
 def test_syntactic_refines_nerode():
@@ -560,6 +685,15 @@ def test_action_commutes_with_meet(seed1, seed2):
     lhs = congruence_action(congruence_meet(rc1, rc2), word)
     rhs = congruence_meet(congruence_action(rc1, word), congruence_action(rc2, word))
     assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_seeds, st.sampled_from(["ab", "abc"]))
+def test_leq_is_the_meet_order(seed, alphabet):
+    rng = random.Random(seed)
+    rc1, rc2 = (nerode_congruence(random_min_dfa(rng, 5, alphabet)) for _ in range(2))
+    for a, b in [(rc1, rc2), (rc2, rc1), (congruence_meet(rc1, rc2), rc2)]:
+        assert congruence_leq(a, b) == (congruence_meet(a, b) == a)
 
 
 @settings(max_examples=40, deadline=None)
