@@ -18,7 +18,7 @@ from .normalize import (
     normalizer_direct,
 )
 from .words import (
-    RightCongruence,
+    _from_explored,
     congruence_leq,
     minimize,
     orbit_meet_check,
@@ -110,7 +110,7 @@ def words_report(d, source=None):
     m = minimize(d)
     # m is minimal: its states are the Nerode classes and its transition
     # monoid is the syntactic monoid, so neither is minimized again
-    rc = RightCongruence(m.alphabet, m.delta)
+    rc = _from_explored(m.alphabet, m.delta)
     tm = transition_monoid(m.alphabet, m.delta)
     syn = tm.cayley_congruence()
     _, agrees = orbit_meet_check(rc, syn)

@@ -30,6 +30,7 @@ word oracles stay off that pipeline: `regex_member` derives (Brzozowski) with
 a memo per tree, and the two-sided oracle walks bounded breadth-first layers.
 """
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -323,21 +324,27 @@ class RightCongruence:
     def _canonize(self, alphabet, delta_rows, initial):
         """Validate the table and keep the part reachable from `initial`,
         renumbered breadth-first; returns the new number of each old state."""
-        self.alphabet = _check_alphabet(alphabet)
+        symbols = _check_alphabet(alphabet)
         rows = list(map(tuple, delta_rows))
-        if not rows or set(map(len, rows)) != {len(self.alphabet)}:
+        if not rows or set(map(len, rows)) != {len(symbols)}:
             raise UnknownState("transition table is empty or does not match the alphabet")
         if not 0 <= initial < len(rows):
             raise UnknownState(f"initial state {initial!r} out of range")
-        if self.alphabet:
+        if symbols:
             lo, hi = min(map(min, rows)), max(map(max, rows))
             if lo < 0 or hi >= len(rows):
                 raise UnknownState(f"transition target {lo if lo < 0 else hi!r} out of range")
         number, canon = _explore(initial, rows.__getitem__)
-        self.delta = tuple(map(tuple, canon))
-        self._letter = {ch: a for a, ch in enumerate(self.alphabet)}
-        self._hash = hash((self.alphabet, self.delta))
+        self._adopt(symbols, canon)
         return number
+
+    def _adopt(self, symbols, rows):
+        """Set the fields from rows in canonical numbering; returns self."""
+        self.alphabet = symbols
+        self.delta = tuple(map(tuple, rows))
+        self._letter = {ch: a for a, ch in enumerate(symbols)}
+        self._hash = hash((symbols, self.delta))
+        return self
 
     @property
     def n(self):
@@ -376,6 +383,13 @@ class RightCongruence:
 
     def __repr__(self):
         return f"RightCongruence(index={self.n}, alphabet={''.join(self.alphabet)!r})"
+
+
+def _from_explored(symbols, rows):
+    """The congruence of ``rows`` numbered breadth-first from state 0, as
+    `_explore` numbers them; a minimal Dfa's rows are such rows.  They are
+    canonical already, so they are taken unchecked and not renumbered."""
+    return object.__new__(RightCongruence)._adopt(symbols, rows)
 
 
 class Dfa(RightCongruence):
@@ -596,7 +610,7 @@ def nerode_congruence(d):
     """States of the minimal DFA with acceptance forgotten but kept distinct:
     u ~ v iff the residuals after u and v coincide."""
     m = minimize(d)
-    return RightCongruence(m.alphabet, m.delta)
+    return _from_explored(m.alphabet, m.delta)
 
 
 def state_congruence(x, q):
@@ -625,27 +639,33 @@ def _product_rows(rows1, rows2, start):
 def congruence_meet(rc1, rc2):
     """Intersection of the relations: reachable part of the pointed product."""
     _check_same_alphabet(rc1, rc2)
-    return RightCongruence(rc1.alphabet, _product_rows(rc1.delta, rc2.delta, (0, 0)))
+    return _from_explored(rc1.alphabet, _product_rows(rc1.delta, rc2.delta, (0, 0)))
+
+
+def _refines(rows1, s1, rows2, s2):
+    """Whether rows1 pointed at s1 refines rows2 pointed at s2: the map
+    sending s1.u to s2.u is a function.  Built from s1 |-> s2 along the
+    transitions of rows1 and checked to commute with every letter on every
+    one of them."""
+    image = [None] * len(rows1)
+    image[s1] = s2
+    stack = [s1]
+    while stack:
+        p = stack.pop()
+        for np, nq in zip(rows1[p], rows2[image[p]]):
+            q = image[np]
+            if q is None:
+                image[np] = nq
+                stack.append(np)
+            elif q != nq:
+                return False
+    return True
 
 
 def congruence_leq(rc1, rc2):
-    """Relation inclusion rc1 <= rc2, i.e. [u]_1 |-> [u]_2 is well-defined.
-
-    Decided by building that map from 0 |-> 0 along rc1's transitions and
-    checking that it commutes with every letter on every one of them.
-    """
+    """Relation inclusion rc1 <= rc2, i.e. [u]_1 |-> [u]_2 is well-defined."""
     _check_same_alphabet(rc1, rc2)
-    image = {0: 0}
-    stack = [0]
-    while stack:
-        p = stack.pop()
-        for np, nq in zip(rc1.delta[p], rc2.delta[image[p]]):
-            if np not in image:
-                image[np] = nq
-                stack.append(np)
-            elif image[np] != nq:
-                return False
-    return True
+    return _refines(rc1.delta, 0, rc2.delta, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +703,7 @@ class TransitionMonoid:
 
     def cayley_congruence(self):
         """Right-multiplication Cayley structure pointed at the identity."""
-        return RightCongruence(self.alphabet, self._rows)
+        return _from_explored(self.alphabet, self._rows)
 
     def __repr__(self):
         return f"TransitionMonoid(order={self.order})"
@@ -720,20 +740,40 @@ def orbit_of(rc):
     return [state_congruence(rc, q) for q in first.values()]
 
 
+def _two_sided(rows):
+    """Whether the congruence of ``rows`` (pointed at 0) refines its own
+    action by every letter a: u ~ v implies au ~ av."""
+    return all(_refines(rows, 0, rows, t) for t in rows[0])
+
+
 def orbit_meet_check(rc, syn):
     """Fold the meet over the orbit of rc and compare it with syn, the
     syntactic congruence the caller computed through the transition monoid.
     Returns the meet and whether the two routes agree.
 
-    The orbit's members are rc pointed at each state, so the fold takes the
-    pointed product of the meet so far with (rc.delta, q) for every state q.
-    Each product is numbered breadth-first from its root, which is already
-    the canonical form, so only the result is built as a congruence.
+    The orbit's members are rc pointed at each state q.  If a meet theta of
+    some of them has theta <= rc and theta <= theta * a for every letter a,
+    then theta <= theta * w <= rc * w for every word w, so theta is below
+    every member: it is the orbit meet.  rc itself is tested first.  Else
+    the pending meets wait in a heap keyed by (index, creation order), each
+    member keyed (n, q); the two smallest are replaced by their pointed
+    product, numbered breadth-first from its root, which is already the
+    canonical form.  A product that includes rc is tested while other meets
+    are still pending, and the fold stops at the first that passes.
     """
     rows = rc.delta
-    for q in range(1, rc.n):
-        rows = _product_rows(rows, rc.delta, (0, q))
-    meet = RightCongruence(rc.alphabet, rows)
+    if not _two_sided(rows):
+        pending = [(rc.n, q, rows, q, q == 0) for q in range(rc.n)]
+        made = itertools.count(rc.n)
+        while len(pending) > 1:
+            _, _, rows1, s1, has_rc1 = heapq.heappop(pending)
+            _, _, rows2, s2, has_rc2 = heapq.heappop(pending)
+            rows = _product_rows(rows1, rows2, (s1, s2))
+            has_rc = has_rc1 or has_rc2
+            if has_rc and pending and _two_sided(rows):
+                break
+            heapq.heappush(pending, (len(rows), next(made), rows, 0, has_rc))
+    meet = _from_explored(rc.alphabet, rows)
     return meet, meet == syn
 
 

@@ -3,6 +3,7 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+from perfbench.inputs import ends_regex
 from toposlsc import fixtures
 from toposlsc.lsc import build_lsc, xi_component
 from toposlsc.fincat import quotient_of_representable
@@ -11,6 +12,7 @@ from toposlsc.words import (
     nerode_congruence,
     orbit_meet_check,
     random_min_dfa,
+    regex_to_min_dfa,
     syntactic_congruence,
 )
 
@@ -32,7 +34,9 @@ def test_concurrent_classification_matches_serial():
 
 def test_concurrent_orbit_meets_match_serial():
     rng = random.Random(7)
+    # the two regexes make the fold stop early: after one product, or before any
     dfas = [random_min_dfa(rng, 5, "ab") for _ in range(12)]
+    dfas += [regex_to_min_dfa(ends_regex(3), "ab"), regex_to_min_dfa("a" * 20, "ab")]
     congruences = [nerode_congruence(d) for d in dfas]
     syntactic = [syntactic_congruence(d)[1] for d in dfas]
     serial = [orbit_meet_check(rc, syn) for rc, syn in zip(congruences, syntactic)]

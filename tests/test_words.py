@@ -6,10 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perfbench.inputs import connected_dfa
+from perfbench.inputs import connected_dfa, ends_regex
 from toposlsc.errors import (
     AlphabetMismatch,
     RegexSyntaxError,
@@ -415,13 +415,23 @@ def test_orbit_of_ab_star_has_three_elements():
 
 
 def _count_calls(monkeypatch, name):
-    """Record each call of words.<name>, from words itself or from reports."""
+    """Record what each call of words.<name> returns, from words itself or
+    from reports.  A class is counted at its __init__, so it stays a class."""
     calls = []
     real = getattr(words, name)
+    if isinstance(real, type):
+        init = real.__init__
+
+        def counting_init(self, *args):
+            init(self, *args)
+            calls.append(self)
+
+        monkeypatch.setattr(real, "__init__", counting_init)
+        return calls
 
     def counting(*args):
-        calls.append(args)
-        return real(*args)
+        calls.append(real(*args))
+        return calls[-1]
 
     for module in (words, reports):
         if hasattr(module, name):
@@ -445,14 +455,18 @@ def test_words_report_minimizes_once(monkeypatch):
 def test_words_report_classifies_states_once(monkeypatch):
     # 300 states with a 300-element monoid: one RightCongruence per congruence
     # the report names (Nerode, syntactic, orbit meet, normalization image),
-    # not one per state
+    # not one per state, whether its rows are checked or trusted; the Nerode
+    # congruence of a chain is two-sided, so the orbit fold takes no product
     d = regex_to_min_dfa("a" * 298, "a")
     assert d.n == 300
     built = _count_calls(monkeypatch, "RightCongruence")
+    trusted = _count_calls(monkeypatch, "_from_explored")
     classified = _count_calls(monkeypatch, "state_classes")
+    products = _count_calls(monkeypatch, "_product_rows")
     words_report(d)
     assert len(classified) == 1
-    assert len(built) <= 4
+    assert len(built) + len(trusted) <= 4
+    assert products == []
 
 
 def test_orbit_size_and_monoid_table_on_random_dfas():
@@ -471,7 +485,7 @@ def test_orbit_size_and_monoid_table_on_random_dfas():
                 assert tm.elements[table[i][j]] == reached
 
 
-def test_orbit_meet_scales_to_a_large_transition_monoid():
+def test_orbit_meet_scales_to_a_large_transition_monoid(monkeypatch):
     # two transformations of a 6-state machine generating 32262 elements;
     # the orbit infimum must still match the transition-monoid route quickly
     delta = [[0, 5], [5, 2], [1, 0], [4, 1], [5, 3], [3, 4]]
@@ -479,10 +493,23 @@ def test_orbit_meet_scales_to_a_large_transition_monoid():
     assert d.n == 6
     rc = nerode_congruence(d)
     tm, syn = syntactic_congruence(d)
+    products = _count_calls(monkeypatch, "_product_rows")
     meet, agrees = orbit_meet_check(rc, syn)
     assert agrees
     assert meet.index == 32262
     assert meet.index == tm.order
+    # meeting the smallest pending meets first explores fewer product rows
+    # than folding rc * (rc at 1) * ... * (rc at 5) in turn, which takes 41586
+    assert len(products) == 5
+    assert sum(map(len, products)) == 33666 < 41586
+
+
+def test_orbit_fold_stops_once_the_meet_is_two_sided(monkeypatch):
+    # rc met with rc at state 1 is the whole 511-element meet and is
+    # two-sided, so the other 254 members are not met
+    products = _count_calls(monkeypatch, "_product_rows")
+    words_report(regex_to_min_dfa(ends_regex(7), "ab"))
+    assert [len(rows) for rows in products] == [511]
 
 
 # --- normalization on words ----------------------------------------------------------------------
@@ -715,8 +742,56 @@ def test_orbit_meet_identity_on_random_dfas(seed):
 
 @settings(max_examples=30, deadline=None)
 @given(small_seeds, st.sampled_from(["a", "ab", "abc"]))
-def test_orbit_fold_equals_the_meet_of_the_state_congruences(seed, alphabet):
-    rc = nerode_congruence(random_min_dfa(random.Random(seed), 5, alphabet))
+def test_explored_rows_are_canonical_already(seed, alphabet):
+    # rows of a minimal Dfa, of a Cayley graph and of pointed products are
+    # numbered breadth-first already: checking and renumbering them changes
+    # neither the value nor its hash
+    rng = random.Random(seed)
+    d, e = (random_min_dfa(rng, 5, alphabet) for _ in range(2))
+    tm = transition_monoid(d.alphabet, d.delta)
+    q = rng.randrange(d.n)
+    for rows in (d.delta, e.delta, tm.cayley_congruence().delta,
+                 words._product_rows(d.delta, e.delta, (0, 0)),
+                 words._product_rows(d.delta, d.delta, (q, 0)),
+                 words._product_rows(e.delta, d.delta, (0, q))):
+        trusted = words._from_explored(d.alphabet, rows)
+        checked = RightCongruence(d.alphabet, rows)
+        assert trusted == checked
+        assert hash(trusted) == hash(checked)
+
+
+def _orbit_fold_examples(test):
+    """Run ``test`` first on congruences that decide the fold's stop every
+    way: chains and cycles (rc alone is two-sided), ends_regex(k) (the first
+    product is), permutation DFAs (the meet is a group's Cayley graph), roots
+    over copies, and b(a|b)*a.  There the sink's member is the total
+    congruence, so a meet without rc is two-sided, and rc's first product
+    does not grow; both are coarser than the orbit meet."""
+    regexes = [("a" * k or "#e", "a") for k in range(5)]
+    regexes += [(f"({'a' * k})*", "a") for k in range(1, 5)]
+    regexes += [(ends_regex(k), "ab") for k in range(5)] + [("b(a|b)*a", "ab")]
+    inputs = [nerode_congruence(regex_to_min_dfa(expr, alphabet)) for expr, alphabet in regexes]
+    for n in (3, 4, 5):
+        # a rotates; b swaps states 0 and 1 (the symmetric group) or reflects
+        for b in ((1, 0, *range(2, n)), [-s % n for s in range(n)]):
+            inputs.append(nerode_congruence(
+                Dfa("ab", n, 0, {0}, [[(s + 1) % n, b[s]] for s in range(n)])))
+    rng = random.Random("orbit fold")
+    for rows in ([[(s + 1) % 3, s] for s in range(3)], _tree_into_sink(rng, 2)):
+        inputs.append(RightCongruence("ab", _under_a_root(rng, rows, 2)))
+    for rc in inputs:
+        test = example(rc)(test)
+    return test
+
+
+def _random_nerode_congruence(seed, alphabet):
+    return nerode_congruence(random_min_dfa(random.Random(seed), 5, alphabet))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.builds(_random_nerode_congruence, small_seeds, st.sampled_from(["a", "ab", "abc"])))
+@_orbit_fold_examples
+def test_orbit_fold_equals_the_meet_of_the_state_congruences(rc):
     reference = functools.reduce(congruence_meet,
                                  [state_congruence(rc, q) for q in range(rc.n)])
     assert orbit_meet_check(rc, reference) == (reference, True)
