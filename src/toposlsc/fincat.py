@@ -39,15 +39,16 @@ class FiniteCategory:
     ``objects`` is an ordered list of object names, ``morphisms`` an ordered
     list of ``(name, src, dst)`` triples, ``identities`` a map object ->
     morphism name, and ``composition`` a map ``(g, f) -> g*f`` defined on
-    exactly the composable pairs.  Morphism names are globally unique; their
-    position in ``morphisms`` fixes the canonical order used everywhere else.
+    exactly the composable pairs.  Morphism names are globally unique and
+    read through ``str`` in all three inputs; their position in
+    ``morphisms`` fixes the canonical order used everywhere else.
     """
 
     def __init__(self, objects, morphisms, identities, composition, *, check=True):
         self.objects = tuple(objects)
         self.morphisms = tuple((str(n), s, d) for n, s, d in morphisms)
-        self.identities = dict(identities)
-        self.composition = {(g, f): h for (g, f), h in dict(composition).items()}
+        self.identities = {c: str(i) for c, i in dict(identities).items()}
+        self.composition = {(str(g), str(f)): str(h) for (g, f), h in dict(composition).items()}
 
         self._obj_index = {c: i for i, c in enumerate(self.objects)}
         if len(self._obj_index) != len(self.objects):

@@ -32,7 +32,7 @@ a memo per tree, and the two-sided oracle walks bounded breadth-first layers.
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     AlphabetMismatch,
@@ -58,36 +58,80 @@ def _check_alphabet(alphabet):
 # regular expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmptyLang:
-    pass
+class _Node:
+    """Base of the regex nodes, values never changed once built.  Each node
+    computes its hash and whether it holds the empty word once, from its
+    children's, so neither recurses on a deep tree; equality walks both
+    trees with an explicit stack.  A subclass's own slots are its children."""
+
+    __slots__ = ("nullable", "_hash")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        todo = [(self, other)]
+        while todo:
+            x, y = todo.pop()
+            if x is y:
+                continue
+            if type(x) is not type(y) or hash(x) != hash(y):
+                return False
+            if isinstance(x, _Node):
+                todo += ((getattr(x, f), getattr(y, f)) for f in x.__slots__)
+            elif x != y:
+                return False
+        return True
+
+    def __repr__(self):
+        parts = ", ".join(repr(getattr(self, f)) for f in self.__slots__)
+        return f"{type(self).__name__}({parts})"
 
 
-@dataclass(frozen=True)
-class EmptyWord:
-    pass
+class EmptyLang(_Node):
+    __slots__ = ()
+
+    def __init__(self):
+        self.nullable, self._hash = False, hash("EmptyLang")
 
 
-@dataclass(frozen=True)
-class Sym:
-    ch: str
+class EmptyWord(_Node):
+    __slots__ = ()
+
+    def __init__(self):
+        self.nullable, self._hash = True, hash("EmptyWord")
 
 
-@dataclass(frozen=True)
-class Concat:
-    left: object
-    right: object
+class Sym(_Node):
+    __slots__ = ("ch",)
+
+    def __init__(self, ch):
+        self.ch, self.nullable, self._hash = ch, False, hash(("Sym", ch))
 
 
-@dataclass(frozen=True)
-class Alt:
-    left: object
-    right: object
+class Concat(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+        self.nullable = left.nullable and right.nullable
+        self._hash = hash(("Concat", left, right))
 
 
-@dataclass(frozen=True)
-class Star:
-    inner: object
+class Alt(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+        self.nullable = left.nullable or right.nullable
+        self._hash = hash(("Alt", left, right))
+
+
+class Star(_Node):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner):
+        self.inner, self.nullable, self._hash = inner, True, hash(("Star", inner))
 
 
 # The parser descends four calls per open group; this bound keeps the
@@ -101,7 +145,8 @@ def parse_regex(src, alphabet):
     Grammar: single-character symbols, juxtaposition for concatenation, `|`
     for alternation, `*` for iteration, parentheses, `#e` for the empty word
     and `#0` for the empty language.  Groups nest at most MAX_GROUP_DEPTH
-    deep.
+    deep.  Concatenations nest to the right, so a derivative drops a leading
+    letter without rebuilding the rest.
     """
     symbols = set(_check_alphabet(alphabet))
     n = len(src)
@@ -159,9 +204,12 @@ def parse_regex(src, alphabet):
         nonlocal pos
         if pos >= n or src[pos] in ")|":
             fail("expected an expression", pos)
-        node = parse_starred()
+        parts = [parse_starred()]
         while pos < n and src[pos] not in ")|":
-            node = Concat(node, parse_starred())
+            parts.append(parse_starred())
+        node = parts.pop()
+        while parts:
+            node = Concat(parts.pop(), node)
         return node
 
     def parse_alt():
@@ -181,19 +229,6 @@ def parse_regex(src, alphabet):
 _EMPTY = EmptyLang()
 
 
-def _nullable(node):
-    """Whether the empty word is in the language of node."""
-    if isinstance(node, (EmptyWord, Star)):
-        return True
-    if isinstance(node, Concat):
-        return _nullable(node.left) and _nullable(node.right)
-    if isinstance(node, Alt):
-        return _nullable(node.left) or _nullable(node.right)
-    if isinstance(node, (EmptyLang, Sym)):
-        return False
-    raise TypeError(f"not a regex node: {node!r}")
-
-
 def _cat(left, right):
     """left right, with the empty language absorbing and the empty word a unit."""
     if isinstance(left, EmptyLang) or isinstance(right, EmptyLang):
@@ -204,9 +239,14 @@ def _cat(left, right):
 
 
 def _alts(node):
-    if isinstance(node, Alt):
-        return _alts(node.left) + _alts(node.right)
-    return [] if isinstance(node, EmptyLang) else [node]
+    out, todo = [], [node]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Alt):
+            todo += [node.right, node.left]
+        elif not isinstance(node, EmptyLang):
+            out.append(node)
+    return out
 
 
 def _alt(left, right):
@@ -220,22 +260,36 @@ def _alt(left, right):
 
 def _derive(term, ch):
     """Brzozowski's derivative of term by the letter ch, the words w with ch w
-    in term.  The smart constructors keep a tree's derivatives finitely many."""
-    def d(node):
-        if isinstance(node, Sym):
-            return EmptyWord() if node.ch == ch else _EMPTY
-        if isinstance(node, Concat):
-            head = _cat(d(node.left), node.right)
-            return _alt(head, d(node.right)) if _nullable(node.left) else head
-        if isinstance(node, Alt):
-            return _alt(d(node.left), d(node.right))
-        if isinstance(node, Star):
-            return _cat(d(node.inner), node)
-        if isinstance(node, (EmptyLang, EmptyWord)):
-            return _EMPTY
-        raise TypeError(f"not a regex node: {node!r}")
-
-    return d(term)
+    in term.  The smart constructors keep a tree's derivatives finitely many.
+    Children are derived before their parent off an explicit stack, each
+    node of term once; a Concat's right side only if its left is nullable."""
+    out = {}  # id of a node of term -> its derivative
+    todo = [(term, False)]
+    while todo:
+        node, ready = todo.pop()
+        if id(node) in out:
+            continue
+        if not ready and isinstance(node, Star):
+            todo += [(node, True), (node.inner, False)]
+        elif not ready and isinstance(node, (Concat, Alt)):
+            todo.append((node, True))
+            if isinstance(node, Alt) or node.left.nullable:
+                todo.append((node.right, False))
+            todo.append((node.left, False))
+        elif isinstance(node, Sym):
+            out[id(node)] = EmptyWord() if node.ch == ch else _EMPTY
+        elif isinstance(node, Concat):
+            head = _cat(out[id(node.left)], node.right)
+            out[id(node)] = _alt(head, out[id(node.right)]) if node.left.nullable else head
+        elif isinstance(node, Alt):
+            out[id(node)] = _alt(out[id(node.left)], out[id(node.right)])
+        elif isinstance(node, Star):
+            out[id(node)] = _cat(out[id(node.inner)], node)
+        elif isinstance(node, (EmptyLang, EmptyWord)):
+            out[id(node)] = _EMPTY
+        else:
+            raise TypeError(f"not a regex node: {node!r}")
+    return out[id(term)]
 
 
 def regex_member(tree, word, _memo=None):
@@ -254,7 +308,7 @@ def regex_member(tree, word, _memo=None):
         term = memo[word[:i]]
         for j in range(i, len(word)):
             term = memo[word[:j + 1]] = _derive(term, word[j])
-    return _nullable(term)
+    return term.nullable
 
 
 def words_upto(alphabet, bound):
@@ -279,12 +333,13 @@ def _explore(start, successors):
     the i-th.
     """
     number = {start: 0}
+    get = number.get
     states = [start]
     rows = []
     for s in states:
         row = []
         for t in successors(s):
-            j = number.get(t)
+            j = get(t)
             if j is None:
                 j = number[t] = len(states)
                 states.append(t)
@@ -711,12 +766,15 @@ class TransitionMonoid:
 
 def transition_monoid(alphabet, delta_rows):
     """Close the letter transformations under composition, breadth-first in
-    shortlex order so the recorded witnesses are least."""
+    shortlex order so the recorded witnesses are least.  On one state every
+    letter is the identity (and itemgetter would return a scalar)."""
     symbols = _check_alphabet(alphabet)
     letters = list(zip(*delta_rows))
     identity = tuple(range(len(delta_rows)))
-    number, rows = _explore(
-        identity, lambda f: [tuple(map(a.__getitem__, f)) for a in letters])
+    if len(identity) == 1:
+        number, rows = _explore(identity, lambda f: letters)
+    else:
+        number, rows = _explore(identity, lambda f: map(itemgetter(*f), letters))
     return TransitionMonoid(symbols, number, rows)
 
 
@@ -936,23 +994,40 @@ def residual_count_by_words(member, alphabet, prefix_bound, suffix_bound):
     return len(signatures)
 
 
-def residual_count_dfa(d, rounds=None):
-    """Residual count of L(d) by plain signature refinement (Moore-style),
-    independent of the Hopcroft route.  ``rounds`` bounds the signature
-    length; the default 2n is far beyond the n-1 needed for exactness."""
-    rounds = 2 * d.n if rounds is None else rounds
-    classes = [1 if s in d.accepting else 0 for s in range(d.n)]
-    k = len(d.alphabet)
-    for _ in range(rounds):
-        keys = {}
-        nxt = []
-        for s in range(d.n):
-            key = (classes[s], tuple(classes[d.delta[s][a]] for a in range(k)))
-            nxt.append(keys.setdefault(key, len(keys)))
-        if nxt == classes:
-            break
-        classes = nxt
-    return len(set(classes))
+def residual_count_dfa(d):
+    """Residual count of L(d): the blocks of Moore's coarsest partition that
+    refines acceptance and is stable under every letter, by change
+    propagation, sharing no code with the Hopcroft route `_refine`.  Each
+    round splits blocks by signature, the blocks of a state's successors.
+    Block ids stay stable, so only predecessors of states that changed block
+    are re-signed, and only those whose signature moved leave their block,
+    grouped by signature (a block all its members leave keeps its largest
+    group).  Acceptance is the first split, of block 0."""
+    n, delta = d.n, d.delta
+    block = [int(s in d.accepting) for s in range(n)]
+    size = [n - len(d.accepting), len(d.accepting)]
+    preds = [[] for _ in range(n)]
+    for s, row in enumerate(delta):
+        for t in row:
+            preds[t].append(s)
+    changed = list(d.accepting)
+    while changed:
+        moved = {}
+        for s in {p for t in changed for p in preds[t]}:
+            signature = tuple(map(block.__getitem__, delta[s]))
+            moved.setdefault(block[s], {}).setdefault(signature, []).append(s)
+        changed = []
+        for b, groups in moved.items():
+            parts = list(groups.values())
+            if sum(map(len, parts)) == size[b]:
+                parts.remove(max(parts, key=len))
+            for part in parts:
+                size[b] -= len(part)
+                for s in part:
+                    block[s] = len(size)
+                size.append(len(part))
+                changed += part
+    return len(set(block))
 
 
 def _ball(start, successors, radius):

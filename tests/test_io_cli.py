@@ -411,6 +411,22 @@ def test_cli_machine_report_on_demo_data_is_pinned(capsys, monkeypatch, command,
     assert hashlib.sha256(out.encode()).hexdigest() == DEMO_REPORT_DIGESTS[command, name]
 
 
+# sha256 of the `--format machine` words reports on the regex of 1500 a's,
+# pinned when its residual oracle took seconds; now it takes well under one
+LONG_CHAIN_REPORT_DIGESTS = {
+    "a": "4e52dd943fb46a66d741f023d45a310b177a74e8f00cb18eafb3624e0afb7d3f",
+    "ab": "a226e40af971ba4c043d23bcecd0c0dd28747fa243465148a7e15d72a27c0fec",
+}
+
+
+@pytest.mark.parametrize("alphabet", sorted(LONG_CHAIN_REPORT_DIGESTS))
+def test_cli_machine_report_on_a_1500_letter_chain_is_pinned(capsys, alphabet):
+    argv = ["words", "--regex", "a" * 1500, "--alphabet", alphabet, "--format", "machine"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LONG_CHAIN_REPORT_DIGESTS[alphabet]
+
+
 def test_cli_internal_error_exits_4_without_traceback(capsys, monkeypatch):
     # exit 1 means a failed verdict and nothing else, so a defect gets its own code
     def broken(args, out):

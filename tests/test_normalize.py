@@ -360,3 +360,14 @@ def test_monoid_site_still_checks_an_unchecked_table():
     mult.update({("a", "a"): "b", ("a", "b"): "b", ("b", "a"): "a", ("b", "b"): "b"})
     with pytest.raises(AssociativityViolation):
         monoid_site(elements, lambda x, y: mult[(x, y)])
+
+
+def test_monoid_site_reads_every_name_through_str():
+    # morphism names were str()-ed but the identity and the table were not,
+    # so integer elements reported a missing identity on '*'
+    site = monoid_site([0, 1], lambda a, b: a * b)
+    assert site.morphisms == (("0", "*", "*"), ("1", "*", "*"))
+    assert site.identity("*") == "1"
+    assert site.compose("0", "1") == "0" and site.compose("1", "1") == "1"
+    assert site.same_site(monoid_site(["0", "1"], lambda a, b: str(int(a) * int(b))))
+    assert len(build_lsc(site).elements("*")) == 2

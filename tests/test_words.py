@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,7 @@ def test_symbol_outside_alphabet_is_its_own_error():
 
 def test_long_regex_compiles_and_deep_nesting_is_a_syntax_error():
     assert regex_to_min_dfa("a" * 1500, "a").n == 1502
+    assert parse_regex("abc", "abc") == Concat(Sym("a"), Concat(Sym("b"), Sym("c")))
     deepest = "(" * MAX_GROUP_DEPTH + "a" + ")" * MAX_GROUP_DEPTH
     assert parse_regex(deepest, "a") == Sym("a")
     with pytest.raises(RegexSyntaxError) as err:
@@ -211,6 +213,22 @@ def test_derivative_size_stays_bounded_on_long_words(expr, alphabet):
             sizes.append(_size(term))
         assert max(sizes) <= 2 * _size(tree), (expr, word, max(sizes))
         assert regex_member(tree, word) == regex_to_min_dfa(tree, alphabet).accepts(word)
+
+
+def test_long_regexes_hash_compare_and_derive_without_recursion():
+    # 1500 nested concatenations or alternations are deeper than the
+    # interpreter's recursion limit: hashing, equality, nullability and
+    # derivatives all walk them without recursing
+    tree = parse_regex("a" * 1500, "ab")
+    assert hash(tree) == hash(parse_regex("a" * 1500, "ab"))
+    assert tree == parse_regex("a" * 1500, "ab") != parse_regex("a" * 1499 + "b", "ab")
+    assert regex_member(tree, "a" * 1500)
+    assert not regex_member(tree, "a" * 1499) and not regex_member(tree, "a" * 1501)
+    # two equal deep alternatives meet in one derivative's alternation
+    twice = parse_regex("a" * 1500 + "|" + "a" * 1500, "ab")
+    assert regex_member(twice, "a" * 1500) and not regex_member(twice, "a" * 1501)
+    many = parse_regex("|".join(["a"] * 1500), "ab")
+    assert regex_member(many, "a") and not regex_member(many, "aa")
 
 
 def test_a_memo_serves_one_tree():
@@ -820,6 +838,84 @@ def test_minimization_preserves_language_and_matches_refinement_oracle(seed):
         assert d.accepts(w) == m.accepts(w)
 
 
+def _residual_count_by_rounds(d):
+    """Moore's refinement round by round over all n states until nothing
+    splits: the reference for the propagating residual_count_dfa."""
+    classes = [1 if s in d.accepting else 0 for s in range(d.n)]
+    k = len(d.alphabet)
+    for _ in range(2 * d.n):
+        keys = {}
+        nxt = []
+        for s in range(d.n):
+            key = (classes[s], tuple(classes[d.delta[s][a]] for a in range(k)))
+            nxt.append(keys.setdefault(key, len(keys)))
+        if nxt == classes:
+            break
+        classes = nxt
+    return len(set(classes))
+
+
+@st.composite
+def _non_minimal_dfas(draw):
+    """Raw random DFAs, chains into a sink and cycles, each with an arbitrary
+    accepting set: mostly not minimal, so the residual count is below n."""
+    k = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 40))
+    family = draw(st.sampled_from(["random", "chain", "cycle"]))
+    if family == "random" or k == 0:
+        rows = [[draw(st.integers(0, n - 1)) for _ in range(k)] for _ in range(n)]
+    elif family == "chain":
+        rows = [[min(s + 1, n - 1)] + [n - 1] * (k - 1) for s in range(n)]
+    else:
+        rows = [[(s + 1) % n] + [draw(st.integers(0, n - 1)) for _ in range(k - 1)]
+                for s in range(n)]
+    period = draw(st.integers(1, 5))
+    accepting = draw(st.one_of(st.just({s for s in range(n) if s % period == 0}),
+                               st.sets(st.integers(0, n - 1))))
+    return Dfa("abc"[:k], n, 0, accepting, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_non_minimal_dfas())
+def test_propagating_residual_oracle_agrees_with_moore_rounds(d):
+    assert residual_count_dfa(d) == _residual_count_by_rounds(d) == minimize(d).n
+
+
+class _CountingRows(list):
+    """A transition table that counts the rows read by index: one per
+    signature in residual_count_dfa, one per signature and letter in the
+    round-by-round reference."""
+
+    reads = 0
+
+    def __getitem__(self, s):
+        self.reads += 1
+        return list.__getitem__(self, s)
+
+
+def _signatures(oracle, d):
+    rows = _CountingRows(d.delta)
+    fake = types.SimpleNamespace(n=d.n, delta=rows, accepting=d.accepting, alphabet=d.alphabet)
+    count = oracle(fake)
+    return count, rows.reads
+
+
+@pytest.mark.parametrize("alphabet", ["a", "ab"])
+def test_residual_oracle_signs_a_chain_a_few_times_per_state(alphabet):
+    # the 1502-state chain needs 1501 Moore rounds; re-signing only the
+    # predecessors of states that changed block signs each state about once
+    d = regex_to_min_dfa("a" * 1500, alphabet)
+    count, signed = _signatures(residual_count_dfa, d)
+    assert count == d.n == 1502
+    assert signed <= 4 * d.n
+    # n rounds over all n states read about n^2 rows per letter, here on a
+    # shorter chain
+    short = regex_to_min_dfa("a" * 98, alphabet)
+    count, signed = _signatures(_residual_count_by_rounds, short)
+    assert count == short.n == 100
+    assert signed >= short.n ** 2 / 2
+
+
 def _same_language(d1, d2):
     """Exact language equality: every reachable state pair agrees on acceptance."""
     seen, todo = {(0, 0)}, [(0, 0)]
@@ -872,3 +968,33 @@ def test_empty_alphabet():
 def test_transition_monoid_of_top_is_trivial():
     tm = transition_monoid(("a", "b"), top_congruence("ab").delta)
     assert tm.order == 1 and tm.witnesses == ("",)
+
+
+def _monoid_by_tuples(alphabet, delta_rows):
+    """The closure with one tuple(map(a.__getitem__, f)) per element and
+    letter and its own breadth-first search: the reference for
+    transition_monoid.  Returns (elements, rows, witnesses)."""
+    letters = list(zip(*delta_rows))
+    elements = [tuple(range(len(delta_rows)))]
+    index, rows, witnesses = {elements[0]: 0}, [], [""]
+    for i, f in enumerate(elements):
+        row = []
+        for ch, a in zip(alphabet, letters):
+            g = tuple(map(a.__getitem__, f))
+            if g not in index:
+                index[g] = len(elements)
+                elements.append(g)
+                witnesses.append(witnesses[i] + ch)
+            row.append(index[g])
+        rows.append(row)
+    return tuple(elements), rows, tuple(witnesses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
+                       min_size=n, max_size=n))))
+def test_transition_monoid_matches_the_tuple_closure(delta):
+    alphabet = "abc"[:len(delta[0])]
+    tm = transition_monoid(alphabet, delta)
+    assert (tm.elements, tm._rows, tm.witnesses) == _monoid_by_tuples(alphabet, delta)
