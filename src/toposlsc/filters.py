@@ -28,6 +28,7 @@ from .fincat import (
     coproduct,
     enumerate_morphisms,
     equalizer,
+    inclusion,
     product,
     quotient_of_representable,
     terminal,
@@ -88,10 +89,7 @@ class InternalFilter:
         """The selection as a subpresheaf of Xi (requires action-closure)."""
         self._require_subpresheaf()
         cat = self.lsc.site
-        carrier = {c: tuple(self._selected(c)) for c in cat.objects}
-        action = {name: {q: self.lsc.act(q, name) for q in carrier[d]}
-                  for name, s, d in cat.morphisms}
-        return Presheaf(cat, carrier, action, check=False)
+        return Presheaf.derived(cat, {c: self._selected(c) for c in cat.objects}, self.lsc.act)
 
     def __eq__(self, other):
         return (isinstance(other, InternalFilter) and self.lsc is other.lsc
@@ -183,15 +181,10 @@ def _classify(F, X):
 def _coreflect(F, X, xi):
     """GX, the elements of X that xi sends into F, with its counit."""
     cat = F.lsc.site
-    carrier = {c: tuple(x for x in X.elements(c)
-                        if F.contains(c, xi.components[c][x]))
+    carrier = {c: [x for x in X.elements(c) if F.contains(c, xi.components[c][x])]
                for c in cat.objects}
-    action = {name: {x: X.act(x, name) for x in carrier[d]}
-              for name, s, d in cat.morphisms}
-    GX = Presheaf(cat, carrier, action, check=False)
-    counit = PresheafMorphism(GX, X, {c: {x: x for x in carrier[c]}
-                                      for c in cat.objects}, check=False)
-    return GX, counit
+    GX = Presheaf.derived(cat, carrier, X.act)
+    return GX, inclusion(GX, X)
 
 
 def in_subcategory(F, X):
@@ -199,8 +192,8 @@ def in_subcategory(F, X):
     xi, outside = _classify(F, X)
     if outside is not None:
         return Membership(False, None, outside)
-    return Membership(True, PresheafMorphism(X, F.as_presheaf(), xi.components,
-                                             check=False), None)
+    return Membership(True, PresheafMorphism.derived(X, F.as_presheaf(),
+                                                     lambda c, x: xi.components[c][x]), None)
 
 
 def comonad_apply(F, X):

@@ -163,7 +163,7 @@ class FiniteCategory:
                 f"{len(self.morphisms)} morphisms)")
 
 
-def validate_category(raw, *, check=True):
+def validate_category(raw):
     """Build and law-check a category from parsed file data (or re-check one).
 
     ``raw`` is either a FiniteCategory or a dict with the category-file fields
@@ -173,8 +173,7 @@ def validate_category(raw, *, check=True):
         return raw.validate()
     morphisms = [(m["name"], m["src"], m["dst"]) for m in raw["morphisms"]]
     composition = {(e["g"], e["f"]): e["result"] for e in raw["composition"]}
-    return FiniteCategory(raw["objects"], morphisms, raw["identities"], composition,
-                          check=check)
+    return FiniteCategory(raw["objects"], morphisms, raw["identities"], composition)
 
 
 class Presheaf:
@@ -184,13 +183,23 @@ class Presheaf:
     ``action`` maps each morphism ``f: a -> b`` to a dict sending X(b) to X(a).
     """
 
-    def __init__(self, site, carrier, action, *, check=True, representing=None):
+    representing = None  # the object c when this presheaf is y(c)
+
+    def __init__(self, site, carrier, action):
         self.site = site
         self.carrier = {c: tuple(carrier.get(c, ())) for c in site.objects}
         self.action = {m: dict(action.get(m, {})) for m, _, _ in site.morphisms}
-        self.representing = representing  # object name when this is y(c)
-        if check:
-            self.check_functorial()
+        self.check_functorial()
+
+    @classmethod
+    def derived(cls, site, carrier, act):
+        """The presheaf on ``carrier`` (every object -> elements) with
+        x . f = act(x, f), a rule whose laws hold by construction: unchecked."""
+        X = cls.__new__(cls)
+        X.site = site
+        X.carrier = {c: tuple(carrier[c]) for c in site.objects}
+        X.action = {m: {x: act(x, m) for x in X.carrier[d]} for m, _, d in site.morphisms}
+        return X
 
     def elements(self, c):
         if c not in self.carrier:
@@ -247,12 +256,22 @@ class Presheaf:
 class PresheafMorphism:
     """A natural transformation between presheaves on the same site."""
 
-    def __init__(self, source, target, components, *, check=True):
+    def __init__(self, source, target, components):
         self.source = source
         self.target = target
         self.components = {c: dict(components.get(c, {})) for c in source.site.objects}
-        if check:
-            self.check_natural()
+        self.check_natural()
+
+    @classmethod
+    def derived(cls, source, target, image):
+        """The morphism whose component at c sends x to image(c, x), a rule
+        natural by construction: unchecked."""
+        m = cls.__new__(cls)
+        m.source = source
+        m.target = target
+        m.components = {c: {x: image(c, x) for x in source.elements(c)}
+                        for c in source.site.objects}
+        return m
 
     def is_mono(self):
         return all(len(set(comp.values())) == len(comp)
@@ -385,19 +404,6 @@ class RepCongruence:
     def is_discrete(self):
         return self.block_count() == len(self.labels)
 
-    def check_right_compatible(self):
-        site = self.site
-        for u in site.morphisms_into(self.base_object):
-            for v in site.morphisms_into(self.base_object):
-                if site.src[u] != site.src[v] or not self.related(u, v):
-                    continue
-                for g in site.morphisms_into(site.src[u]):
-                    if not self.related(site.compose(u, g), site.compose(v, g)):
-                        raise FunctorialityViolation(
-                            f"congruence not right-compatible: {u}~{v} but not "
-                            f"{u}*{g} ~ {v}*{g}")
-        return self
-
     # -- operations -----------------------------------------------------------------
 
     def _same_object(self, other, what):
@@ -490,11 +496,9 @@ def representable(cat, c):
     """The Yoneda presheaf y(c): Hom(-, c) with action by precomposition."""
     if c not in cat._obj_index:
         raise UnknownObject(f"unknown object {c!r}")
-    carrier = {a: cat.hom(a, c) for a in cat.objects}
-    action = {}
-    for name, s, d in cat.morphisms:
-        action[name] = {u: cat.compose(u, name) for u in carrier[d]}
-    return Presheaf(cat, carrier, action, check=False, representing=c)
+    y = Presheaf.derived(cat, {a: cat.hom(a, c) for a in cat.objects}, cat.compose)
+    y.representing = c
+    return y
 
 
 def yoneda_morphism(X, c, x):
@@ -502,9 +506,7 @@ def yoneda_morphism(X, c, x):
     cat = X.site
     if x not in set(X.elements(c)):
         raise ElementNotInCarrier(f"{x!r} is not in X({c!r})")
-    y = representable(cat, c)
-    comps = {a: {u: X.act(x, u) for u in y.elements(a)} for a in cat.objects}
-    return PresheafMorphism(y, X, comps, check=False)
+    return PresheafMorphism.derived(representable(cat, c), X, lambda a, u: X.act(x, u))
 
 
 def image_quotient(m):
@@ -525,10 +527,7 @@ def quotient_of_representable(q):
     cat = q.site
     carrier = q.blocks
     block_of = {u: b for bs in carrier.values() for b in bs for u in b}
-    action = {}
-    for name, s, d in cat.morphisms:
-        action[name] = {b: block_of[cat.compose(b[0], name)] for b in carrier[d]}
-    return Presheaf(cat, carrier, action, check=False)
+    return Presheaf.derived(cat, carrier, lambda b, f: block_of[cat.compose(b[0], f)])
 
 
 # ---------------------------------------------------------------------------
@@ -579,38 +578,13 @@ def enumerate_quotient_objects(cat, c, cap=DEFAULT_BUDGET):
 def product(site, factors):
     """Pointwise product; elements are tuples.  Empty product = terminal."""
     factors = list(factors)
-    carrier = {c: tuple(itertools.product(*(X.elements(c) for X in factors)))
-               for c in site.objects}
-    action = {}
-    for name, s, d in site.morphisms:
-        action[name] = {xs: tuple(X.act(x, name) for X, x in zip(factors, xs))
-                        for xs in carrier[d]}
-    return Presheaf(site, carrier, action, check=False)
+    carrier = {c: itertools.product(*(X.elements(c) for X in factors)) for c in site.objects}
+    return Presheaf.derived(site, carrier,
+                            lambda xs, f: tuple(X.act(x, f) for X, x in zip(factors, xs)))
 
 
 def terminal(site):
     return product(site, [])
-
-
-def projections(site, factors, prod=None):
-    prod = prod if prod is not None else product(site, factors)
-    out = []
-    for i, X in enumerate(factors):
-        comps = {c: {xs: xs[i] for xs in prod.elements(c)} for c in site.objects}
-        out.append(PresheafMorphism(prod, X, comps, check=False))
-    return out
-
-
-def pairing(morphisms, prod=None):
-    """<f1, ..., fn>: common source into the product of the targets."""
-    src = morphisms[0].source
-    site = src.site
-    targets = [m.target for m in morphisms]
-    prod = prod if prod is not None else product(site, targets)
-    comps = {c: {x: tuple(m.components[c][x] for m in morphisms)
-                 for x in src.elements(c)}
-             for c in site.objects}
-    return PresheafMorphism(src, prod, comps, check=False)
 
 
 def equalizer(f, g):
@@ -618,37 +592,25 @@ def equalizer(f, g):
     if f.source != g.source or f.target != g.target:
         raise NotParallel("equalizer needs a parallel pair")
     X = f.source
-    site = X.site
-    carrier = {c: tuple(x for x in X.elements(c)
-                        if f.components[c][x] == g.components[c][x])
-               for c in site.objects}
-    action = {}
-    for name, s, d in site.morphisms:
-        action[name] = {x: X.act(x, name) for x in carrier[d]}
-    E = Presheaf(site, carrier, action, check=False)
-    incl = PresheafMorphism(E, X, {c: {x: x for x in carrier[c]} for c in site.objects},
-                            check=False)
-    return E, incl
+    carrier = {c: [x for x in X.elements(c) if f.components[c][x] == g.components[c][x]]
+               for c in X.site.objects}
+    E = Presheaf.derived(X.site, carrier, X.act)
+    return E, inclusion(E, X)
 
 
 def coproduct(X, Y):
     """Disjoint union, with both injections."""
-    site = X.site
-    carrier = {c: tuple(("l", x) for x in X.elements(c))
-               + tuple(("r", y) for y in Y.elements(c))
-               for c in site.objects}
-    action = {}
-    for name, s, d in site.morphisms:
-        table = {}
-        for tag, z in carrier[d]:
-            table[(tag, z)] = (tag, (X if tag == "l" else Y).act(z, name))
-        action[name] = table
-    P = Presheaf(site, carrier, action, check=False)
-    inl = PresheafMorphism(X, P, {c: {x: ("l", x) for x in X.elements(c)}
-                                  for c in site.objects}, check=False)
-    inr = PresheafMorphism(Y, P, {c: {y: ("r", y) for y in Y.elements(c)}
-                                  for c in site.objects}, check=False)
-    return P, inl, inr
+    carrier = {c: [("l", x) for x in X.elements(c)] + [("r", y) for y in Y.elements(c)]
+               for c in X.site.objects}
+    P = Presheaf.derived(X.site, carrier,
+                         lambda z, f: (z[0], (X if z[0] == "l" else Y).act(z[1], f)))
+    return P, inclusion(X, P, "l"), inclusion(Y, P, "r")
+
+
+def inclusion(S, X, tag=None):
+    """The inclusion of S into X: x |-> x, or x |-> (tag, x) when X tags the
+    elements it takes from S, as a coproduct does."""
+    return PresheafMorphism.derived(S, X, lambda c, x: x if tag is None else (tag, x))
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +651,7 @@ def enumerate_morphisms(X, Y, *, injective_only=False, limit=None):
         while i < len(items) and items[i] in assign:
             i += 1
         if i == len(items):
-            m = PresheafMorphism(X, Y, {c: {x: assign[(c, x)] for x in X.elements(c)}
-                                        for c in site.objects}, check=False)
+            m = PresheafMorphism.derived(X, Y, lambda c, x: assign[(c, x)])
             if not injective_only or m.is_mono():
                 results.append(m)
             return

@@ -115,8 +115,7 @@ def load_presheaf(cat, source):
         raise InputFormatError("malformed presheaf file: " + "; ".join(problems),
                                details=problems)
     return Presheaf(cat, data["sets"],
-                    {m: dict(table) for m, table in data["actions"].items()},
-                    check=True)
+                    {m: dict(table) for m, table in data["actions"].items()})
 
 
 def load_group(source):
@@ -205,6 +204,14 @@ def dump_dfa(d):
         "transitions": [[names[s], d.alphabet[a], names[d.delta[s][a]]]
                         for s in range(d.n) for a in range(len(d.alphabet))],
     }
+
+
+def load_regex(source):
+    """Regex fixture file: the `regex` and the `alphabet` it is read over."""
+    data = _as_data(source, "regex")
+    _check_fields(data, "regex file", ("regex", "alphabet"),
+                  types={"regex": str, "alphabet": (str, list)})
+    return data["regex"], data["alphabet"]
 
 
 def load_filter_selection(L, source):

@@ -33,11 +33,10 @@ class LocalStateClassifier:
 
     def __init__(self, site, carrier):
         self.site = site
+        self._carrier = carrier
         self._index = {c: {q: i for i, q in enumerate(qs)} for c, qs in carrier.items()}
-        # the action's values are interned, which needs the carrier in place first
-        self.xi = Presheaf(site, carrier, {}, check=False)
-        self.xi.action = {name: {q: self._intern(s, q.precompose(name)) for q in carrier[d]}
-                          for name, s, d in site.morphisms}
+        self.xi = Presheaf.derived(
+            site, carrier, lambda q, f: self._intern(site.src[f], q.precompose(f)))
         self.top = {c: self._intern(c, RepCongruence.total(site, c)) for c in site.objects}
 
     def _intern(self, c, q):
@@ -45,7 +44,7 @@ class LocalStateClassifier:
         i = self._index[c].get(q)
         if i is None:
             raise RuntimeError(f"{q!r} is not in Xi({c!r})")
-        return self.xi.carrier[c][i]
+        return self._carrier[c][i]
 
     def elements(self, c):
         return self.xi.elements(c)
@@ -90,10 +89,8 @@ def xi_component(L, X):
     if not L.site.same_site(X.site):
         raise SiteMismatch("presheaf does not live on the classifier's site")
     cat = L.site
-    comps = {c: {x: L._intern(c, RepCongruence.from_labels(cat, c, lambda u: X.act(x, u)))
-                 for x in X.elements(c)}
-             for c in cat.objects}
-    return PresheafMorphism(X, L.xi, comps, check=False)
+    return PresheafMorphism.derived(X, L.xi, lambda c, x: L._intern(
+        c, RepCongruence.from_labels(cat, c, lambda u: X.act(x, u))))
 
 
 def verify_meet_compatibility(L, presheaves):

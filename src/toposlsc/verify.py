@@ -528,9 +528,7 @@ def suite_words(budget=DEFAULT_BUDGET, fixtures_dir=None):
         cert.record(f"{path.name}: orbit meet equals syntactic congruence",
                     orbit_meet_check(rc, syntactic_congruence(m)[1])[1])
     for path in _fixture_files(fixtures_dir, ".regex"):
-        data = io._as_data(path, "regex")
-        io._check_fields(data, "regex file", ("regex", "alphabet"))
-        _check_regex_fixture(cert, data["regex"], data["alphabet"])
+        _check_regex_fixture(cert, *io.load_regex(path))
     return cert
 
 

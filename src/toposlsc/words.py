@@ -61,7 +61,7 @@ def _check_alphabet(alphabet):
 class _Node:
     """Base of the regex nodes, values never changed once built.  Each node
     computes its hash and whether it holds the empty word once, from its
-    children's, so neither recurses on a deep tree; equality walks both
+    children's, so neither recurses on a deep tree; equality and repr walk
     trees with an explicit stack.  A subclass's own slots are its children."""
 
     __slots__ = ("nullable", "_hash")
@@ -84,8 +84,18 @@ class _Node:
         return True
 
     def __repr__(self):
-        parts = ", ".join(repr(getattr(self, f)) for f in self.__slots__)
-        return f"{type(self).__name__}({parts})"
+        out, todo = [], [self]  # todo holds nodes and text already rendered
+        while todo:
+            x = todo.pop()
+            if not isinstance(x, _Node):
+                out.append(x)
+                continue
+            items = [f"{type(x).__name__}("]
+            for i, f in enumerate(x.__slots__):
+                v = getattr(x, f)
+                items += [", "] * (i > 0) + [v if isinstance(v, _Node) else repr(v)]
+            todo += reversed(items + [")"])
+        return "".join(out)
 
 
 class EmptyLang(_Node):

@@ -53,6 +53,14 @@ def set_partitions(items):
         yield smaller + [[first]]
 
 
+def right_compatible(q):
+    """u ~ v implies u*g ~ v*g for every g into their common source."""
+    site, into = q.site, q.site.morphisms_into(q.base_object)
+    return all(q.related(site.compose(u, g), site.compose(v, g))
+               for u in into for v in into if site.src[u] == site.src[v] and q.related(u, v)
+               for g in site.morphisms_into(site.src[u]))
+
+
 def brute_partitions(cat, c):
     """(input blocks, congruence) for each right-compatible partition among
     all object-respecting ones."""
@@ -60,11 +68,8 @@ def brute_partitions(cat, c):
     for combo in itertools.product(*per_object):
         blocks = dict(zip(cat.objects, combo))
         q = RepCongruence(cat, c, blocks)
-        try:
-            q.check_right_compatible()
-        except Exception:
-            continue
-        yield blocks, q
+        if right_compatible(q):
+            yield blocks, q
 
 
 def brute_quotient_objects(cat, c):

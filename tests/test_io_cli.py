@@ -331,7 +331,8 @@ def test_cli_no_command_prints_help(capsys):
 def _wrongly_typed(kind, field, value):
     data = {"cat": lambda: io.dump_category(fixtures.graph_site()),
             "group": lambda: io.dump_group(fixtures.dihedral_4()),
-            "dfa": lambda: io.dump_dfa(regex_to_min_dfa("(ab)*", "ab"))}[kind]()
+            "dfa": lambda: io.dump_dfa(regex_to_min_dfa("(ab)*", "ab")),
+            "regex": lambda: {"regex": "(ab)*", "alphabet": "ab"}}[kind]()
     data[field] = value
     return data
 
@@ -348,12 +349,16 @@ def _wrongly_typed(kind, field, value):
     ("dfa", "transitions", None),
     ("dfa", "alphabet", 5),
     ("dfa", "initial", ["q0"]),
+    ("regex", "regex", 5),
+    ("regex", "alphabet", 7),
 ])
 def test_cli_wrongly_typed_field_exits_2(tmp_path, capsys, kind, field, value):
     path = tmp_path / f"input.{kind}"
     path.write_text(json.dumps(_wrongly_typed(kind, field, value)))
-    command = {"cat": ["lsc"], "group": ["group"], "dfa": ["words", "--dfa"]}[kind]
-    assert main([*command, str(path)]) == 2
+    command = {"cat": ["lsc", str(path)], "group": ["group", str(path)],
+               "dfa": ["words", "--dfa", str(path)],
+               "regex": ["verify", "--suite", "words", "--fixtures", str(tmp_path)]}[kind]
+    assert main(command) == 2
     assert "malformed input" in capsys.readouterr().err
 
 

@@ -227,23 +227,6 @@ def test_meet_compatibility_is_stabilizer_intersection_on_groups(d4, d4_lsc):
     assert verify_meet_compatibility(d4_lsc, [X, Y]).ok
 
 
-def test_product_projections_and_pairing(d4, d4_lsc):
-    from toposlsc.fincat import pairing, product, projections
-
-    named = fixtures.d4_named_subgroups(d4)
-    X = quotient_of_representable(subgroup_to_congruence(d4, named["<t>"]))
-    Y = quotient_of_representable(subgroup_to_congruence(d4, named["<s>"]))
-    P = product(d4.site(), [X, Y])
-    pX, pY = projections(d4.site(), [X, Y], P)
-    pX.check_natural()
-    pY.check_natural()
-    # pairing the classifying maps factors them through the product of targets
-    xi_x = xi_component(d4_lsc, X)
-    paired = pairing([xi_x, xi_x])
-    for x in X.elements("*"):
-        assert paired.components["*"][x] == (xi_x.components["*"][x],) * 2
-
-
 # --- the laws that hold by construction, certified once per site ---------------
 
 def _law_sites():

@@ -217,9 +217,10 @@ def test_derivative_size_stays_bounded_on_long_words(expr, alphabet):
 
 def test_long_regexes_hash_compare_and_derive_without_recursion():
     # 1500 nested concatenations or alternations are deeper than the
-    # interpreter's recursion limit: hashing, equality, nullability and
-    # derivatives all walk them without recursing
+    # interpreter's recursion limit: hashing, equality, repr, nullability
+    # and derivatives all walk them without recursing
     tree = parse_regex("a" * 1500, "ab")
+    assert repr(tree) == "Concat(Sym('a'), " * 1499 + "Sym('a')" + ")" * 1499
     assert hash(tree) == hash(parse_regex("a" * 1500, "ab"))
     assert tree == parse_regex("a" * 1500, "ab") != parse_regex("a" * 1499 + "b", "ab")
     assert regex_member(tree, "a" * 1500)
@@ -229,6 +230,12 @@ def test_long_regexes_hash_compare_and_derive_without_recursion():
     assert regex_member(twice, "a" * 1500) and not regex_member(twice, "a" * 1501)
     many = parse_regex("|".join(["a"] * 1500), "ab")
     assert regex_member(many, "a") and not regex_member(many, "aa")
+
+
+def test_regex_repr_is_pinned():
+    assert repr(parse_regex("(ab)*|c", "abc")) == "Alt(Star(Concat(Sym('a'), Sym('b'))), Sym('c'))"
+    assert (repr(words.Star(words.Concat(words.EmptyWord(), words.EmptyLang())))
+            == "Star(Concat(EmptyWord(), EmptyLang()))")
 
 
 def test_a_memo_serves_one_tree():
