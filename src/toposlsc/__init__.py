@@ -59,7 +59,6 @@ from .normalize import (
     normalization_operator,
     normalization_table,
     normalizer_direct,
-    subgroup_congruence_bijection,
     subgroup_to_congruence,
     subgroups,
 )

@@ -36,6 +36,9 @@ from .fincat import (
 from .lsc import xi_component
 from .normalize import normalization_operator
 
+# injective maps enumerated per ordered pair of members in the cocone clause
+MONO_LIMIT = 64
+
 
 def _check_keyed(L, selection):
     """Raise UnknownObject for a key that is no object of the site,
@@ -201,7 +204,7 @@ def comonad_apply(F, X):
     return _coreflect(F, X, _classify(F, X)[0])
 
 
-def certify_quotient_classifier(F, samples=None, *, mono_limit=64):
+def certify_quotient_classifier(F, samples=None):
     """Certificate that the corestricted cocone classifies the quotient.
 
     Clauses, each recorded with a witness on failure:
@@ -252,7 +255,7 @@ def certify_quotient_classifier(F, samples=None, *, mono_limit=64):
         for Z, xi_z in members:
             for Zp, xi_zp in members:
                 for m in enumerate_morphisms(Z, Zp, injective_only=True,
-                                             limit=mono_limit):
+                                             limit=MONO_LIMIT):
                     maps += 1
                     yield from ((c, x, m) for c in cat.objects for x in Z.elements(c)
                                 if xi_zp[c][m.components[c][x]] != xi_z[c][x])

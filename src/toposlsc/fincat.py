@@ -164,13 +164,9 @@ class FiniteCategory:
 
 
 def validate_category(raw):
-    """Build and law-check a category from parsed file data (or re-check one).
-
-    ``raw`` is either a FiniteCategory or a dict with the category-file fields
-    ``objects``, ``morphisms``, ``identities``, ``composition``.
-    """
-    if isinstance(raw, FiniteCategory):
-        return raw.validate()
+    """Build and law-check a category from parsed file data: a dict with the
+    category-file fields ``objects``, ``morphisms``, ``identities``,
+    ``composition``."""
     morphisms = [(m["name"], m["src"], m["dst"]) for m in raw["morphisms"]]
     composition = {(e["g"], e["f"]): e["result"] for e in raw["composition"]}
     return FiniteCategory(raw["objects"], morphisms, raw["identities"], composition)

@@ -151,7 +151,7 @@ def _perm_name(p):
     return "".join(cycles) if cycles else "e"
 
 
-def symmetric_group(n, label=None):
+def symmetric_group(n):
     perms = sorted(itertools.permutations(range(n)))
     names = {p: _perm_name(p) for p in perms}
 
@@ -160,7 +160,7 @@ def symmetric_group(n, label=None):
         return tuple(p[q[i]] for i in range(n))
 
     mult = {(names[p], names[q]): names[mul(p, q)] for p in perms for q in perms}
-    return FiniteGroup([names[p] for p in perms], mult, label=label or f"S{n}")
+    return FiniteGroup([names[p] for p in perms], mult, label=f"S{n}")
 
 
 def symmetric_3():

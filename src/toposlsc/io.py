@@ -127,8 +127,10 @@ def load_group(source):
     elements = data["elements"]
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise InputFormatError("group elements must be a list of names")
-    if not all(isinstance(row, list) for row in data["table"]):
-        raise InputFormatError("group table must be a list of rows (lists)")
+    # a JSON boolean is no index, though isinstance(True, int) holds
+    if not all(isinstance(row, list) and all(type(k) is int for k in row)
+               for row in data["table"]):
+        raise InputFormatError("group table must be a list of rows of integer indices")
     names = data.get("names", {})
     if not all(isinstance(v, str) for v in names.values()):
         raise InputFormatError("group names must map elements to strings")
@@ -140,14 +142,9 @@ def load_group(source):
                                   label=names.get("group"), display=display)
 
 
-def dump_group(G, label=None):
-    out = {"elements": list(G.elements), "table": G.index_table()}
-    names = dict(G.display)
-    if label or G.label:
-        names["group"] = label or G.label
-    if names:
-        out["names"] = names
-    return out
+def dump_group(G):
+    return {"elements": list(G.elements), "table": G.index_table(),
+            "names": dict(G.display, group=G.label)}
 
 
 def load_dfa(source):

@@ -22,7 +22,7 @@ from .fincat import FiniteCategory, RepCongruence, enumerate_quotient_objects
 from .lsc import xi_component
 
 
-def monoid_site(elements, mult, name="*"):
+def monoid_site(elements, mult):
     """Deloop a finite monoid: one object, the elements as endomorphisms.
 
     ``mult(a, b)`` is the monoid product; composition is a*b = mult(a, b), so
@@ -32,9 +32,9 @@ def monoid_site(elements, mult, name="*"):
     identity = _identity(elements, mult)
     if identity is None:
         raise NotAGroup("monoid table has no identity element")
-    morphisms = [(a, name, name) for a in elements]
+    morphisms = [(a, "*", "*") for a in elements]
     composition = {(g, f): mult(g, f) for g in elements for f in elements}
-    return FiniteCategory([name], morphisms, {name: identity}, composition)
+    return FiniteCategory(["*"], morphisms, {"*": identity}, composition)
 
 
 def _identity(elements, mult):
@@ -79,7 +79,7 @@ class FiniteGroup:
         mult = {}
         for i, row in enumerate(rows):
             for j, k in enumerate(row):
-                if not isinstance(k, int) or not 0 <= k < n:
+                if type(k) is not int or not 0 <= k < n:
                     raise NotAGroup(f"table entry {k!r} is not a valid index")
                 mult[(elements[i], elements[j])] = elements[k]
         return cls(elements, mult, label=label, display=display)
@@ -194,12 +194,6 @@ def congruence_to_subgroup(G, q):
     except NotASubgroup as exc:
         raise NotACongruenceOfSubgroupForm(
             f"identity block {members!r} is not a subgroup: {exc}") from exc
-
-
-def subgroup_congruence_bijection(G):
-    """The two mutually inverse encodings, as a (forward, backward) pair."""
-    return (lambda H: subgroup_to_congruence(G, H),
-            lambda q: congruence_to_subgroup(G, q))
 
 
 def normalizer_direct(G, H):

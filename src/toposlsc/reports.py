@@ -104,9 +104,11 @@ def group_report(G, L):
     return make_report("group", payload, [cert])
 
 
-def words_report(d, source=None):
-    """Minimal DFA, Nerode index, syntactic monoid data, orbit size,
-    normalization image, and the standard verdicts."""
+def words_analysis(d):
+    """Minimize d once and derive, from the minimal DFA m, the Nerode
+    congruence rc, the syntactic monoid tm with its two-sided congruence syn,
+    the normalization image of rc, and a certificate of the five standard
+    verdicts: (m, rc, tm, syn, normalized, cert)."""
     m = minimize(d)
     # m is minimal: its states are the Nerode classes and its transition
     # monoid is the syntactic monoid, so neither is minimized again
@@ -121,6 +123,13 @@ def words_report(d, source=None):
     cert.record("orbit-meet-equals-syntactic", agrees)
     cert.record("syntactic-refines-nerode", congruence_leq(syn, rc))
     cert.record("normalization-inflationary", congruence_leq(rc, normalized))
+    return m, rc, tm, syn, normalized, cert
+
+
+def words_report(d, source=None):
+    """Minimal DFA, Nerode index, syntactic monoid data, orbit size,
+    normalization image, and the standard verdicts."""
+    m, rc, tm, _, normalized, cert = words_analysis(d)
     payload = {
         "source": source,
         "alphabet": list(m.alphabet),

@@ -42,6 +42,7 @@ from .normalize import (
     normalizer_direct,
     subgroup_to_congruence,
 )
+from .reports import words_analysis
 from .words import (
     RightCongruence,
     _ball,
@@ -49,17 +50,13 @@ from .words import (
     congruence_leq,
     congruence_meet,
     find_pointed_isomorphism,
-    minimize,
     nerode_congruence,
-    orbit_meet_check,
     parse_regex,
     random_min_dfa,
     regex_member,
     regex_to_min_dfa,
     residual_count_by_words,
-    residual_count_dfa,
     state_congruence,
-    syntactic_congruence,
     syntactically_equivalent_bruteforce,
     top_congruence,
     words_normalization_operator,
@@ -352,21 +349,20 @@ FROZEN_REGEX_FACTS = {
 }
 
 
+# the suite's names for the five verdicts of `words_analysis`, in its order
+WORDS_LABELS = (
+    "nerode index equals minimal state count",
+    "residual refinement oracle agrees",
+    "orbit meet equals syntactic congruence",
+    "syntactic refines nerode",
+    "normalization inflationary",
+)
+
+
 def _check_regex_fixture(cert, expr, alphabet):
-    d = regex_to_min_dfa(expr, alphabet)
-    rc = nerode_congruence(d)
-    tm, syn = syntactic_congruence(d)
-    agrees = orbit_meet_check(rc, syn)[1]
-    checks = {
-        "nerode index equals minimal state count": rc.index == d.n,
-        "residual refinement oracle agrees": residual_count_dfa(d) == rc.index,
-        "orbit meet equals syntactic congruence": agrees,
-        "syntactic refines nerode": congruence_leq(syn, rc),
-        "normalization inflationary": congruence_leq(
-            rc, words_normalization_operator(rc)),
-    }
-    for label, ok in checks.items():
-        cert.record(f"{expr}: {label}", ok)
+    d, rc, tm, syn, _, verdicts = words_analysis(regex_to_min_dfa(expr, alphabet))
+    for label, check in zip(WORDS_LABELS, verdicts.checks):
+        cert.record(f"{expr}: {label}", check.passed)
     if expr in FROZEN_REGEX_FACTS:
         states, order = FROZEN_REGEX_FACTS[expr]
         cert.record(f"{expr}: frozen minimal-state count {states}", d.n == states, d.n)
@@ -410,17 +406,11 @@ def _two_sided_oracle_counterexamples(compiled):
 
 
 def _random_identity_counterexamples(rng):
-    """The Myhill-Nerode and orbit-infimum identities on 20 random minimal DFAs."""
+    """The Myhill-Nerode and orbit-infimum identities on 20 random minimal
+    DFAs: each failed verdict among the first four of `words_analysis`."""
     for _ in range(20):
         d = random_min_dfa(rng, 6, "ab")
-        rc = nerode_congruence(d)
-        syn = syntactic_congruence(d)[1]
-        if not (rc.index == d.n == residual_count_dfa(d)):
-            yield (d, "index mismatch")
-        if not orbit_meet_check(rc, syn)[1]:
-            yield (d, "orbit meet mismatch")
-        if not congruence_leq(syn, rc):
-            yield (d, "syntactic does not refine nerode")
+        yield from ((d, c.name) for c in words_analysis(d)[-1].checks[:4] if not c.passed)
 
 
 def _inflation_counterexamples(rng):
@@ -490,19 +480,17 @@ def suite_words(budget=DEFAULT_BUDGET, fixtures_dir=None):
         compiled[expr] = _check_regex_fixture(cert, expr, alphabet)
 
     # frozen lattice facts
-    rc_enda = nerode_congruence(regex_to_min_dfa("(a|b)*a", "ab"))
+    rc_enda = compiled["(a|b)*a"][1]
     rc_endb = nerode_congruence(regex_to_min_dfa("(a|b)*b", "ab"))
     cert.record("meet of the ends-in-a and ends-in-b congruences has index 3",
                 congruence_meet(rc_enda, rc_endb).index == 3)
-    d_abstar, rc_abstar, _ = compiled["(ab)*"]
     cert.record("(ab)* action: rc * a equals the nerode congruence of b(ab)*",
-                congruence_action(rc_abstar, "a")
-                == nerode_congruence(regex_to_min_dfa("b(ab)*", "ab")))
+                congruence_action(compiled["(ab)*"][1], "a") == compiled["b(ab)*"][1])
     top = top_congruence(("a", "b"))
     cert.record("top congruence is fixed by the action and by normalization",
                 congruence_action(top, "ab") == top
                 and words_normalization_operator(top) == top)
-    rc3 = nerode_congruence(regex_to_min_dfa("a(a|b)*", "ab"))
+    rc3 = compiled["a(a|b)*"][1]
     cert.record("a-prefixed language: three classes normalize to two",
                 rc3.index == 3 and words_normalization_operator(rc3).index == 2)
 
@@ -520,13 +508,9 @@ def suite_words(budget=DEFAULT_BUDGET, fixtures_dir=None):
                _embedding_counterexamples(compiled))
 
     for path in _fixture_files(fixtures_dir, ".dfa"):
-        d = io.load_dfa(path)
-        rc = nerode_congruence(d)
-        m = minimize(d)
-        cert.record(f"{path.name}: nerode index equals minimal state count",
-                    rc.index == m.n == residual_count_dfa(m))
-        cert.record(f"{path.name}: orbit meet equals syntactic congruence",
-                    orbit_meet_check(rc, syntactic_congruence(m)[1])[1])
+        index, residual, orbit = words_analysis(io.load_dfa(path))[-1].checks[:3]
+        cert.record(f"{path.name}: {WORDS_LABELS[0]}", index.passed and residual.passed)
+        cert.record(f"{path.name}: {WORDS_LABELS[2]}", orbit.passed)
     for path in _fixture_files(fixtures_dir, ".regex"):
         _check_regex_fixture(cert, *io.load_regex(path))
     return cert

@@ -749,7 +749,6 @@ class TransitionMonoid:
         self.witnesses = _witnesses(rows, self.alphabet)
         self._index = number
         self._rows = rows
-        self._table = None
 
     @property
     def order(self):
@@ -760,11 +759,8 @@ class TransitionMonoid:
         return self._index[tuple(map(self.elements[j].__getitem__, self.elements[i]))]
 
     def table(self):
-        """Full composition table; quadratic, built on demand."""
-        if self._table is None:
-            self._table = [[self.mult(i, j) for j in range(self.order)]
-                           for i in range(self.order)]
-        return self._table
+        """Full composition table; quadratic, built on each call."""
+        return [[self.mult(i, j) for j in range(self.order)] for i in range(self.order)]
 
     def cayley_congruence(self):
         """Right-multiplication Cayley structure pointed at the identity."""

@@ -26,22 +26,21 @@ from toposlsc.verify import (
     SEED_INFLATION,
     SEED_ISO,
     SEED_WORDS,
+    _inflation_counterexamples,
+    _isomorphism_counterexamples,
     d4_normalization_matches,
     find_non_idempotence_witness,
     find_non_monotonicity_witness,
     graph_nonfilter_selection,
 )
 from toposlsc.words import (
-    RightCongruence,
     congruence_leq,
-    find_pointed_isomorphism,
     nerode_congruence,
     orbit_meet_check,
     random_min_dfa,
     regex_to_min_dfa,
     residual_count_dfa,
     syntactic_congruence,
-    words_normalization_operator,
 )
 
 
@@ -110,13 +109,7 @@ def test_criterion_5_normalization_lemma():
         if not check_normalization_inflationary(build_lsc(site)).ok:
             ok = False
             break
-    rng = random.Random(SEED_INFLATION)
-    violations = 0
-    for i in range(50):
-        d = random_min_dfa(rng, 6, "ab" if i % 2 == 0 else "abc")
-        rc = nerode_congruence(d)
-        if not congruence_leq(rc, words_normalization_operator(rc)):
-            violations += 1
+    violations = sum(1 for _ in _inflation_counterexamples(random.Random(SEED_INFLATION)))
     _verdict(5, "q <= xi(q) on every bundled site and 50 random minimal DFAs, "
                 f"{violations} violations", ok and violations == 0)
 
@@ -180,25 +173,6 @@ def test_criterion_8_words_suite():
 
 
 def test_criterion_9_canonicalization_soundness():
-    from toposlsc.verify import _random_trim_automaton
-    rng = random.Random(SEED_ISO)
-    disagreements = 0
-    for i in range(200):
-        rows_a, init_a = _random_trim_automaton(rng)
-        if i % 2 == 0:
-            n = len(rows_a)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            rows_b = [None] * n
-            for s in range(n):
-                rows_b[perm[s]] = [perm[t] for t in rows_a[s]]
-            init_b = perm[init_a]
-        else:
-            rows_b, init_b = _random_trim_automaton(rng)
-        equal = RightCongruence(("a", "b"), rows_a, init_a) == \
-            RightCongruence(("a", "b"), rows_b, init_b)
-        iso = find_pointed_isomorphism((rows_a, init_a), (rows_b, init_b))
-        if equal != (iso is not None):
-            disagreements += 1
+    disagreements = sum(1 for _ in _isomorphism_counterexamples(random.Random(SEED_ISO)))
     _verdict(9, f"structural equality vs backtracking isomorphism search on "
                 f"200 pairs, {disagreements} disagreements", disagreements == 0)

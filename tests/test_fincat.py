@@ -118,7 +118,7 @@ def test_validate_category_accepts_idempotent_monoid_table(idem):
 
 
 def test_validate_category_accepts_graph_site(graph):
-    assert validate_category(graph) is graph
+    assert graph.validate() is graph
     assert graph.hom("V", "E") == ("s", "t")
     assert graph.hom("E", "V") == ()
 

@@ -236,6 +236,16 @@ def test_group_names_field_roundtrip_and_validation(tmp_path):
         io.load_group(data)
 
 
+def test_cli_boolean_group_table_entry_exits_2(tmp_path, capsys):
+    data = io.dump_group(fixtures.dihedral_4())
+    row = next(r for r in data["table"] if 1 in r)
+    row[row.index(1)] = True  # isinstance(True, int) holds, but no index is a boolean
+    path = tmp_path / "d4.group"
+    path.write_text(json.dumps(data))
+    assert main(["group", str(path)]) == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
 def test_cli_lsc_report(tmp_path, capsys):
     path = tmp_path / "graph.cat"
     path.write_text(json.dumps(io.dump_category(fixtures.graph_site())))

@@ -33,6 +33,22 @@ def test_run_all_merges_every_suite():
     assert cert.ok
 
 
+def test_suite_words_compiles_each_regex_once(monkeypatch):
+    from toposlsc import verify
+
+    compiled = []
+    real = verify.regex_to_min_dfa
+
+    def counting(expr, alphabet):
+        compiled.append((expr, alphabet))
+        return real(expr, alphabet)
+
+    monkeypatch.setattr(verify, "regex_to_min_dfa", counting)
+    assert verify.suite_words().ok
+    assert compiled
+    assert len(compiled) == len(set(compiled))
+
+
 def test_suite_normalize_builds_each_site_once(monkeypatch):
     from toposlsc import verify
 
