@@ -43,7 +43,6 @@ from .fincat import (
     quotient_of_representable,
     representable,
     terminal,
-    validate_category,
     yoneda_morphism,
 )
 from .lsc import LocalStateClassifier, build_lsc, verify_meet_compatibility, xi_component

@@ -204,7 +204,7 @@ def comonad_apply(F, X):
     return _coreflect(F, X, _classify(F, X)[0])
 
 
-def certify_quotient_classifier(F, samples=None):
+def certify_quotient_classifier(F):
     """Certificate that the corestricted cocone classifies the quotient.
 
     Clauses, each recorded with a witness on failure:
@@ -216,9 +216,9 @@ def certify_quotient_classifier(F, samples=None):
                           the terminal object, sampled binary products and
                           sampled equalizers.
 
-    The default samples are the terminal presheaf and every y(c)/q.  Each
-    sample is classified once, and the clauses read membership, xi and GX
-    from that.
+    The samples are the terminal presheaf, every y(c)/q and the coproduct of
+    the first two.  Each sample is classified once, and the clauses read
+    membership, xi and GX from that.
 
     A selection not closed under the action is no subpresheaf of Xi, so no
     clause applies: it raises NotSubpresheaf with the (q, f) witness.
@@ -232,14 +232,10 @@ def certify_quotient_classifier(F, samples=None):
     # (a) the filter lives in its own subcategory
     cert.check("F-in-EF", _self_membership_counterexamples(F))
 
-    # sample pool: provided samples or the defaults, plus one coproduct
+    # sample pool: the terminal presheaf, every y(c)/q, and one coproduct
     quotient_classes = [_classify(F, Q) for _, _, Q in quotients]
-    if samples is None:
-        pool = [terminal(cat)] + [Q for _, _, Q in quotients]
-        classified = [_classify(F, pool[0])] + quotient_classes
-    else:
-        pool = list(samples)
-        classified = [_classify(F, X) for X in pool]
+    pool = [terminal(cat)] + [Q for _, _, Q in quotients]
+    classified = [_classify(F, pool[0])] + quotient_classes
     if len(pool) >= 2:
         P, _, _ = coproduct(pool[0], pool[1])
         pool.append(P)

@@ -110,34 +110,31 @@ class FiniteCategory:
 
     # -- law checking ------------------------------------------------------
 
-    def violations(self):
-        """All category-law violations, as error instances (empty if valid)."""
-        out = []
+    def _violations(self):
+        """Category-law violations as error instances, typing problems first;
+        `validate` stops at the first, so the laws only read a typed table."""
         for c in self.objects:
             i = self.identities.get(c)
             if i is None or i not in self.src or self.src[i] != c or self.dst[i] != c:
-                out.append(IdentityViolation(i, None, "typing", f"no identity on {c!r}"))
+                yield IdentityViolation(i, None, "typing", f"no identity on {c!r}")
         for (g, f), h in self.composition.items():
             if g not in self.src or f not in self.src or h not in self.src:
-                out.append(IllTypedComposite(g, f, h, "unknown morphism in table entry"))
-                continue
-            if self.dst[f] != self.src[g]:
-                out.append(IllTypedComposite(g, f, h, "pair is not composable"))
+                yield IllTypedComposite(g, f, h, "unknown morphism in table entry")
+            elif self.dst[f] != self.src[g]:
+                yield IllTypedComposite(g, f, h, "pair is not composable")
             elif self.src[h] != self.src[f] or self.dst[h] != self.dst[g]:
-                out.append(IllTypedComposite(g, f, h, "result has the wrong endpoints"))
+                yield IllTypedComposite(g, f, h, "result has the wrong endpoints")
         for g, f in itertools.product(self.src, repeat=2):
             if self.dst[f] == self.src[g] and (g, f) not in self.composition:
-                out.append(IllTypedComposite(g, f, None, "missing table entry"))
-        if out:
-            return out
+                yield IllTypedComposite(g, f, None, "missing table entry")
 
         for m in self.src:
             left = self.composition[(self.identities[self.dst[m]], m)]
             if left != m:
-                out.append(IdentityViolation(self.identities[self.dst[m]], m, "left", left))
+                yield IdentityViolation(self.identities[self.dst[m]], m, "left", left)
             right = self.composition[(m, self.identities[self.src[m]])]
             if right != m:
-                out.append(IdentityViolation(self.identities[self.src[m]], m, "right", right))
+                yield IdentityViolation(self.identities[self.src[m]], m, "right", right)
         for h in self.src:
             for g in self.src:
                 if self.dst[g] != self.src[h]:
@@ -149,27 +146,17 @@ class FiniteCategory:
                     left = self.composition[(hg, f)]
                     right = self.composition[(h, self.composition[(g, f)])]
                     if left != right:
-                        out.append(AssociativityViolation(h, g, f, left, right))
-        return out
+                        yield AssociativityViolation(h, g, f, left, right)
 
     def validate(self):
-        bad = self.violations()
-        if bad:
-            raise bad[0]
+        bad = next(self._violations(), None)
+        if bad is not None:
+            raise bad
         return self
 
     def __repr__(self):
         return (f"FiniteCategory({len(self.objects)} objects, "
                 f"{len(self.morphisms)} morphisms)")
-
-
-def validate_category(raw):
-    """Build and law-check a category from parsed file data: a dict with the
-    category-file fields ``objects``, ``morphisms``, ``identities``,
-    ``composition``."""
-    morphisms = [(m["name"], m["src"], m["dst"]) for m in raw["morphisms"]]
-    composition = {(e["g"], e["f"]): e["result"] for e in raw["composition"]}
-    return FiniteCategory(raw["objects"], morphisms, raw["identities"], composition)
 
 
 class Presheaf:
@@ -191,11 +178,15 @@ class Presheaf:
     def derived(cls, site, carrier, act):
         """The presheaf on ``carrier`` (every object -> elements) with
         x . f = act(x, f), a rule whose laws hold by construction: unchecked."""
-        X = cls.__new__(cls)
-        X.site = site
-        X.carrier = {c: tuple(carrier[c]) for c in site.objects}
-        X.action = {m: {x: act(x, m) for x in X.carrier[d]} for m, _, d in site.morphisms}
-        return X
+        return cls.__new__(cls)._derive(site, carrier, act)
+
+    def _derive(self, site, carrier, act):
+        """Fill in site, carrier and then the action from the rule `act`,
+        which may read the carrier already set."""
+        self.site = site
+        self.carrier = {c: tuple(carrier[c]) for c in site.objects}
+        self.action = {m: {x: act(x, m) for x in self.carrier[d]} for m, _, d in site.morphisms}
+        return self
 
     def elements(self, c):
         if c not in self.carrier:
@@ -246,7 +237,7 @@ class Presheaf:
 
     def __repr__(self):
         sizes = ", ".join(f"{c}:{len(self.carrier[c])}" for c in self.site.objects)
-        return f"Presheaf({sizes})"
+        return f"{type(self).__name__}({sizes})"
 
 
 class PresheafMorphism:

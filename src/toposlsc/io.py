@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 from .errors import InputFormatError
-from .fincat import Presheaf, validate_category
+from .fincat import FiniteCategory, Presheaf
 from .normalize import FiniteGroup
 from .words import Dfa
 
@@ -84,7 +84,9 @@ def load_category(source):
         if pair in seen_pairs:
             raise InputFormatError(f"duplicate composition entry for {pair!r}")
         seen_pairs.add(pair)
-    return validate_category(data)
+    morphisms = [(m["name"], m["src"], m["dst"]) for m in data["morphisms"]]
+    composition = {(e["g"], e["f"]): e["result"] for e in data["composition"]}
+    return FiniteCategory(data["objects"], morphisms, data["identities"], composition)
 
 
 def dump_category(cat):
@@ -155,7 +157,8 @@ def load_dfa(source):
                          "transitions": list})
     states = data["states"]
     names = [*states, *data["accepting"], data["initial"], *data["alphabet"]]
-    if not all(isinstance(x, _NAME) for x in names):
+    # a JSON boolean is no state name, though isinstance(True, int) holds
+    if not all(type(x) in _NAME for x in names):
         raise InputFormatError("dfa states and symbols must be strings or integers")
     if len(set(states)) != len(states):
         raise InputFormatError("duplicate state names")
@@ -172,7 +175,7 @@ def load_dfa(source):
     delta = [[None] * len(alphabet) for _ in states]
     for entry in data["transitions"]:
         if not (isinstance(entry, list) and len(entry) == 3
-                and all(isinstance(x, _NAME) for x in entry)):
+                and all(type(x) in _NAME for x in entry)):
             raise InputFormatError(f"transition {entry!r} must be [state, symbol, state]")
         src, sym, dst = entry
         if src not in number or dst not in number:

@@ -7,6 +7,10 @@ canonical cocone { xi_X: X -> Xi } sending an element to the kernel congruence
 of its classifying morphism, and a meet-semilattice structure given by
 intersection of congruences with the total congruence on top.
 
+`LocalStateClassifier` is that presheaf, not a wrapper around one: it is a
+`Presheaf` whose action is built by the derived route, and it carries its own
+component xi_Xi, the normalization operator, computed once when it is built.
+
 Every value of the action and of a cocone component is looked up in Xi(c) and
 is the carrier's own instance; a congruence missing from Xi(c) raises.  The
 functoriality of the action and the naturality of each component hold by
@@ -27,27 +31,22 @@ from .fincat import (
 )
 
 
-class LocalStateClassifier:
-    """Xi together with its site, order structure and distinguished top,
-    built from the carrier Xi(c) of each object."""
+class LocalStateClassifier(Presheaf):
+    """Xi itself, with its order structure, its distinguished top and its
+    own cocone component xi_Xi, built from the carrier Xi(c) of each object."""
 
     def __init__(self, site, carrier):
-        self.site = site
-        self._carrier = carrier
         self._index = {c: {q: i for i, q in enumerate(qs)} for c, qs in carrier.items()}
-        self.xi = Presheaf.derived(
-            site, carrier, lambda q, f: self._intern(site.src[f], q.precompose(f)))
+        self._derive(site, carrier, lambda q, f: self._intern(site.src[f], q.precompose(f)))
         self.top = {c: self._intern(c, RepCongruence.total(site, c)) for c in site.objects}
+        self.normalization = xi_component(self, self)
 
     def _intern(self, c, q):
         """The carrier's instance of q; q missing from Xi(c) is a defect."""
         i = self._index[c].get(q)
         if i is None:
             raise RuntimeError(f"{q!r} is not in Xi({c!r})")
-        return self._carrier[c][i]
-
-    def elements(self, c):
-        return self.xi.elements(c)
+        return self.carrier[c][i]
 
     def index_of(self, c, q):
         return self._index[c][q]
@@ -57,16 +56,6 @@ class LocalStateClassifier:
 
     def top_at(self, c):
         return self.top[c]
-
-    def act(self, q, f):
-        return self.xi.act(q, f)
-
-    def size(self):
-        return self.xi.size()
-
-    def __repr__(self):
-        sizes = ", ".join(f"{c}:{len(self.elements(c))}" for c in self.site.objects)
-        return f"LocalStateClassifier({sizes})"
 
 
 def build_lsc(cat, cap=DEFAULT_BUDGET):
@@ -89,7 +78,7 @@ def xi_component(L, X):
     if not L.site.same_site(X.site):
         raise SiteMismatch("presheaf does not live on the classifier's site")
     cat = L.site
-    return PresheafMorphism.derived(X, L.xi, lambda c, x: L._intern(
+    return PresheafMorphism.derived(X, L, lambda c, x: L._intern(
         c, RepCongruence.from_labels(cat, c, lambda u: X.act(x, u))))
 
 

@@ -1,13 +1,13 @@
 """The normalization operator, its order properties, and the group oracle.
 
 The operator itself is nothing group-specific: it is the cocone component of
-the classifier at the classifier, computed by the generic `xi_component`.  For
-a one-object site coming from a group G, elements of Xi are the right-coset
-partitions of subgroups, the action is conjugation, and the operator sends the
-partition of H to the partition of its normalizer.  So the subgroup lattice
-is read off Xi(*) through that coset bijection, not enumerated a second time.
-`normalizer_direct` is the brute-force group-theoretic computation kept as an
-independent oracle.
+the classifier at the classifier, computed once by the generic `xi_component`
+when the classifier is built.  For a one-object site coming from a group G,
+elements of Xi are the right-coset partitions of subgroups, the action is
+conjugation, and the operator sends the partition of H to the partition of
+its normalizer.  So the subgroup lattice is read off Xi(*) through that
+coset bijection, not enumerated a second time.  `normalizer_direct` is the
+brute-force group-theoretic computation kept as an independent oracle.
 """
 
 import itertools
@@ -19,7 +19,6 @@ from .errors import (
     NotASubgroup,
 )
 from .fincat import FiniteCategory, RepCongruence, enumerate_quotient_objects
-from .lsc import xi_component
 
 
 def monoid_site(elements, mult):
@@ -212,11 +211,11 @@ def normalizer_direct(G, H):
 def normalization_operator(L):
     """The self-referential cocone component xi_Xi: Xi -> Xi.
 
-    Deliberately computed by the generic recipe (classify Xi as a presheaf);
-    at each object it sends q to the congruence relating u, v whenever
-    q.u = q.v.  No group-specific shortcut is taken here.
+    The classifier computed it once, by the generic recipe `xi_component`
+    applied to Xi itself: at each object it sends q to the congruence
+    relating u, v whenever q.u = q.v.  No group-specific shortcut is taken.
     """
-    return xi_component(L, L.xi)
+    return L.normalization
 
 
 def check_normalization_inflationary(L):

@@ -364,12 +364,6 @@ def test_upward_closed_selection_still_contains_classifier_image(d4, d4_lsc, nam
     assert clause_a.passed
 
 
-def test_certificate_with_explicit_samples(graph_lsc):
-    samples = [all_loops(graph_lsc.site), terminal(graph_lsc.site)]
-    cert = certify_quotient_classifier(top_filter(graph_lsc), samples)
-    assert cert.ok
-
-
 def test_certificate_on_the_middle_filter_of_z4():
     # subgroups of Z4 are <0> < <2> < Z4; the upward pair {<2>, Z4} is a
     # genuine filter strictly between top and everything

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from toposlsc import fixtures
+from toposlsc import fixtures, io
 from toposlsc.errors import (
     AssociativityViolation,
     BudgetExceeded,
@@ -31,7 +31,6 @@ from toposlsc.fincat import (
     quotient_of_representable,
     representable,
     terminal,
-    validate_category,
     yoneda_morphism,
 )
 from toposlsc.lsc import build_lsc
@@ -113,7 +112,7 @@ def test_validate_category_accepts_idempotent_monoid_table(idem):
                         {"g": "x", "f": "1", "result": "x"},
                         {"g": "x", "f": "x", "result": "x"}],
     }
-    cat = validate_category(data)
+    cat = io.load_category(data)
     assert cat.hom("*", "*") == ("1", "x")
 
 

@@ -246,6 +246,20 @@ def test_cli_boolean_group_table_entry_exits_2(tmp_path, capsys):
     assert "malformed input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("states, initial, accepting", [
+    ([0, 1], True, [1]),
+    (["p", 1], "p", [True]),
+], ids=["initial", "accepting"])
+def test_cli_boolean_dfa_state_exits_2(tmp_path, capsys, states, initial, accepting):
+    # isinstance(True, int) holds, but no state is named by a boolean
+    data = {"alphabet": "a", "states": states, "initial": initial, "accepting": accepting,
+            "transitions": [[states[0], "a", 1], [1, "a", 1]]}
+    path = tmp_path / "bool.dfa"
+    path.write_text(json.dumps(data))
+    assert main(["words", "--dfa", str(path)]) == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
 def test_cli_lsc_report(tmp_path, capsys):
     path = tmp_path / "graph.cat"
     path.write_text(json.dumps(io.dump_category(fixtures.graph_site())))

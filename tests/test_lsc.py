@@ -62,7 +62,8 @@ def test_poset_classifiers_are_terminal():
 
 
 def test_classifier_presheaf_is_functorial(d4_lsc):
-    d4_lsc.xi.check_functorial()
+    assert isinstance(d4_lsc, Presheaf)
+    d4_lsc.check_functorial()
 
 
 # --- the cocone --------------------------------------------------------------
@@ -260,11 +261,11 @@ def test_xi_laws_and_interning_once_per_site(name):
 
     site = LAW_SITES[name]
     L = build_lsc(site)
-    L.xi.check_functorial()
+    L.check_functorial()
     for f, s, d in site.morphisms:
         assert all(_is_interned(L, s, L.act(q, f)) for q in L.elements(d)), f
     assert all(_is_interned(L, c, L.top_at(c)) for c in site.objects)
-    for X in [*_sample_presheaves(L), L.xi]:
+    for X in [*_sample_presheaves(L), L]:
         xi = xi_component(L, X).check_natural()
         assert all(_is_interned(L, c, q)
                    for c in site.objects for q in xi.components[c].values())
@@ -285,6 +286,36 @@ def test_reports_and_certificates_run_no_law_check(monkeypatch):
     assert all(v["pass"] for v in lsc_report(L)["verdicts"])
     assert all(v["pass"] for v in group_report(G, L)["verdicts"])
     assert certify_quotient_classifier(full_filter(L)).ok
+
+
+def test_xi_of_xi_is_computed_once_per_classifier(monkeypatch):
+    # every call xi_component(L, X) with X = Xi is recorded, at every module
+    # alias; the list keeps each L alive, so distinct ones have distinct ids
+    import sys
+
+    from toposlsc import lsc
+    from toposlsc.reports import group_report, lsc_report
+    from toposlsc.verify import suite_normalize
+
+    seen = []
+    original = lsc.xi_component
+
+    def counted(L, X):
+        if all(X.elements(c) == L.elements(c) for c in L.site.objects):
+            seen.append(L)
+        return original(L, X)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toposlsc.") and getattr(module, "xi_component", None) is original:
+            monkeypatch.setattr(module, "xi_component", counted)
+    G = fixtures.dihedral_4()
+    group_report(G, build_lsc(G.site()))
+    assert len(seen) == 1
+    lsc_report(build_lsc(fixtures.graph_site()))
+    assert len(seen) == 2
+    del seen[:]
+    assert suite_normalize().ok
+    assert seen and len({id(L) for L in seen}) == len(seen)
 
 
 # --- the membership half that stays at run time -----------------------------------
@@ -326,8 +357,8 @@ def test_a_kernel_missing_from_xi_raises(monkeypatch):
 
 @pytest.mark.parametrize("dropped", ["<t>", "<t,s2>"])
 def test_cli_exits_4_when_xi_misses_a_congruence(tmp_path, capsys, monkeypatch, dropped):
-    # <t> is an action value (build_lsc raises); the normal <t,s2> is not, but
-    # it is the normalizer of <t> (the normalization operator raises)
+    # <t> is an action value (building the action raises); the normal <t,s2>
+    # is not, but it is the normalizer of <t> (building xi_Xi raises)
     import json
 
     from toposlsc import io
