@@ -147,7 +147,8 @@ def validate_filter(L, selection):
 
 
 def filter_generated_by(L, seeds):
-    """Least internal filter containing the seeds.
+    """Least internal filter containing the seeds, a map from objects c to
+    collections of elements of Xi(c).
 
     A filter of a finite meet-semilattice is the up-set of its least
     element, and the action preserves order and meets.  So at each c the
@@ -155,8 +156,7 @@ def filter_generated_by(L, seeds):
     Empty seeds give the top filter.
     """
     cat = L.site
-    seeds = {c: qs if isinstance(qs, (list, tuple, set, frozenset)) else (qs,)
-             for c, qs in dict(seeds).items()}
+    seeds = dict(seeds)
     _check_keyed(L, seeds)
     least = {c: L.top_at(c) for c in cat.objects}
     for d, qs in seeds.items():

@@ -44,7 +44,7 @@ class FiniteCategory:
     ``morphisms`` fixes the canonical order used everywhere else.
     """
 
-    def __init__(self, objects, morphisms, identities, composition, *, check=True):
+    def __init__(self, objects, morphisms, identities, composition):
         self.objects = tuple(objects)
         self.morphisms = tuple((str(n), s, d) for n, s, d in morphisms)
         self.identities = {c: str(i) for c, i in dict(identities).items()}
@@ -72,9 +72,7 @@ class FiniteCategory:
                       for c in self.objects}
         # arrow -> its position in morphisms_into(dst): RepCongruence's index
         self.into_index = {u: i for into in self._into.values() for i, u in enumerate(into)}
-
-        if check:
-            self.validate()
+        self.validate()
 
     # -- structure access ------------------------------------------------
 
@@ -337,17 +335,6 @@ class RepCongruence:
         return cls._from_keys(site, c, [(src[u], label(u)) for u in site.morphisms_into(c)])
 
     @classmethod
-    def from_pairs(cls, site, c, pairs):
-        """The least equivalence relation on y(c) relating each pair of
-        parallel arrows in ``pairs``."""
-        n, pos, links = len(site.morphisms_into(c)), site.into_index, []
-        for u, v in pairs:
-            if site.dst.get(u) != c or site.dst.get(v) != c or site.src[u] != site.src[v]:
-                raise UnknownMorphism(f"{u!r}, {v!r} are not parallel arrows into {c!r}")
-            links.append((pos[u], pos[v]))
-        return cls._from_keys(site, c, _union_find(n, links))
-
-    @classmethod
     def discrete(cls, site, c):
         return cls.from_labels(site, c, lambda u: u)
 
@@ -534,9 +521,11 @@ def enumerate_quotient_objects(cat, c, cap=DEFAULT_BUDGET):
     elems = cat.morphisms_into(c)
     if len(elems) > cap:
         raise BudgetExceeded(len(elems), cap)
+    # row[u] lists the positions of u*g in y(c) for every g into src(u)
+    pos, comp = cat.into_index, cat.composition
+    row = {u: [pos[comp[(u, g)]] for g in cat.morphisms_into(cat.src[u])] for u in elems}
     principals = dict.fromkeys(
-        RepCongruence.from_pairs(cat, c, [(cat.compose(u, g), cat.compose(v, g))
-                                          for g in cat.morphisms_into(a)])
+        RepCongruence._from_keys(cat, c, _union_find(len(elems), zip(row[u], row[v])))
         for a in cat.objects
         for hom in [cat.hom(a, c)]
         for i, u in enumerate(hom) for v in hom[i + 1:])

@@ -129,6 +129,8 @@ def load_group(source):
     elements = data["elements"]
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise InputFormatError("group elements must be a list of names")
+    if len(set(elements)) != len(elements):
+        raise InputFormatError("duplicate group element names")
     # a JSON boolean is no index, though isinstance(True, int) holds
     if not all(isinstance(row, list) and all(type(k) is int for k in row)
                for row in data["table"]):
@@ -162,8 +164,10 @@ def load_dfa(source):
         raise InputFormatError("dfa states and symbols must be strings or integers")
     if len(set(states)) != len(states):
         raise InputFormatError("duplicate state names")
-    number = {s: i for i, s in enumerate(states)}
     alphabet = tuple(data["alphabet"])
+    if len(set(alphabet)) != len(alphabet):
+        raise InputFormatError("duplicate alphabet symbols")
+    number = {s: i for i, s in enumerate(states)}
     if data["initial"] not in number:
         raise InputFormatError(f"initial state {data['initial']!r} is not a state")
     accepting = set()

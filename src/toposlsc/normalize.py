@@ -10,8 +10,6 @@ coset bijection, not enumerated a second time.  `normalizer_direct` is the
 brute-force group-theoretic computation kept as an independent oracle.
 """
 
-import itertools
-
 from .certificates import Certificate
 from .errors import (
     NotACongruenceOfSubgroupForm,
@@ -26,9 +24,12 @@ def monoid_site(elements, mult):
 
     ``mult(a, b)`` is the monoid product; composition is a*b = mult(a, b), so
     right compatibility of congruences is closure under right multiplication.
+    The two-sided identity is searched for here (NotAGroup if there is none);
+    the site's own validation then checks the unit and associativity laws.
     """
     elements = list(elements)
-    identity = _identity(elements, mult)
+    identity = next((e for e in elements
+                     if all(mult(e, a) == a == mult(a, e) for a in elements)), None)
     if identity is None:
         raise NotAGroup("monoid table has no identity element")
     morphisms = [(a, "*", "*") for a in elements]
@@ -36,17 +37,13 @@ def monoid_site(elements, mult):
     return FiniteCategory(["*"], morphisms, {"*": identity}, composition)
 
 
-def _identity(elements, mult):
-    """The two-sided identity of a finite multiplication, or None."""
-    return next((e for e in elements
-                 if all(mult(e, a) == a == mult(a, e) for a in elements)), None)
-
-
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
     Element names double as morphism names of the one-object site, so keep
-    them short and distinct.
+    them short and distinct.  The monoid laws are the site's category laws:
+    the site is built, and checked, once here, and the group itself checks
+    only that every element has a unique two-sided inverse.
     """
 
     def __init__(self, elements, mult_table, label=None, display=None):
@@ -54,19 +51,14 @@ class FiniteGroup:
         self.label = label or "G"
         self.display = dict(display or {})  # element -> pretty name, for reports
         self._mult = dict(mult_table)  # (a, b) -> a*b
-        self.identity = _identity(self.elements, self.mult)
-        if self.identity is None:
-            raise NotAGroup(f"{self.label}: no identity element")
+        self._site = monoid_site(self.elements, self.mult)
+        self.identity = self._site.identity("*")
         self.inverse = {}
         for a in self.elements:
             inv = [b for b in self.elements if self._mult[(a, b)] == self.identity]
             if len(inv) != 1 or self._mult[(inv[0], a)] != self.identity:
                 raise NotAGroup(f"{self.label}: {a!r} has no two-sided inverse")
             self.inverse[a] = inv[0]
-        for a, b, c in itertools.product(self.elements, repeat=3):
-            if self._mult[(self._mult[(a, b)], c)] != self._mult[(a, self._mult[(b, c)])]:
-                raise NotAGroup(f"{self.label}: associativity fails on ({a},{b},{c})")
-        self._site = None
 
     @classmethod
     def from_table(cls, elements, rows, label=None, display=None):
@@ -98,10 +90,6 @@ class FiniteGroup:
         return len(self.elements)
 
     def site(self):
-        if self._site is None:
-            # __init__ checked the group laws, so the site skips a second pass
-            self._site = FiniteCategory(["*"], [(a, "*", "*") for a in self.elements],
-                                        {"*": self.identity}, self._mult, check=False)
         return self._site
 
     def index_table(self):

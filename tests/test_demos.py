@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the installed sources."""
+"""Every demo script runs to completion, and make_data.py reproduces demos/data."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -19,3 +20,15 @@ def test_demo_runs(script):
     result = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_make_data_regenerates_demo_data(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("make_data", ROOT / "demos" / "make_data.py")
+    make_data = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_data)
+    monkeypatch.setattr(make_data, "DATA", tmp_path)
+    make_data.main()
+    committed = ROOT / "demos" / "data"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in committed.iterdir())
+    for path in committed.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

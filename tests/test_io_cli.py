@@ -246,6 +246,29 @@ def test_cli_boolean_group_table_entry_exits_2(tmp_path, capsys):
     assert "malformed input" in capsys.readouterr().err
 
 
+def test_cli_non_associative_group_table_exits_2(tmp_path, capsys):
+    # an order-5 loop: e is a unit and every element is its own unique
+    # inverse, so only the site's associativity check can reject it
+    data = {"elements": ["e", "a", "b", "c", "d"],
+            "table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                      [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]}
+    path = tmp_path / "loop5.group"
+    path.write_text(json.dumps(data))
+    assert main(["group", str(path)]) == 2
+    assert "(a,a,b)" in capsys.readouterr().err
+
+
+def test_cli_duplicate_names_exit_2(tmp_path, capsys):
+    group = tmp_path / "dup.group"
+    group.write_text(json.dumps({"elements": ["e", "e"], "table": [[0, 1], [1, 0]]}))
+    dfa = tmp_path / "dup.dfa"
+    dfa.write_text(json.dumps({"alphabet": ["a", "a"], "states": [0], "initial": 0,
+                               "accepting": [0], "transitions": [[0, "a", 0]]}))
+    for argv in (["group", str(group)], ["words", "--dfa", str(dfa)]):
+        assert main(argv) == 2
+        assert "duplicate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("states, initial, accepting", [
     ([0, 1], True, [1]),
     (["p", 1], "p", [True]),

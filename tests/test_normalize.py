@@ -349,6 +349,17 @@ def test_group_site_is_built_without_a_second_law_check(monkeypatch):
         monoid_site(G.elements, G.mult)
 
 
+def test_building_a_group_checks_its_laws_once(monkeypatch):
+    from toposlsc.fincat import FiniteCategory
+
+    calls = []
+    validate = FiniteCategory.validate
+    monkeypatch.setattr(FiniteCategory, "validate",
+                        lambda self: calls.append(self) or validate(self))
+    G = fixtures.symmetric_3()
+    assert calls == [G.site()]
+
+
 def test_monoid_site_still_checks_an_unchecked_table():
     from toposlsc.errors import AssociativityViolation
 
