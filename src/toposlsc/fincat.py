@@ -179,11 +179,15 @@ class Presheaf:
         return cls.__new__(cls)._derive(site, carrier, act)
 
     def _derive(self, site, carrier, act):
-        """Fill in site, carrier and then the action from the rule `act`,
-        which may read the carrier already set."""
-        self.site = site
-        self.carrier = {c: tuple(carrier[c]) for c in site.objects}
-        self.action = {m: {x: act(x, m) for x in self.carrier[d]} for m, _, d in site.morphisms}
+        """Set the carrier, then tabulate the rule `act`, which may read the
+        carrier already set, and hand the table to `_set`."""
+        self.carrier = carrier = {c: tuple(carrier[c]) for c in site.objects}
+        return self._set(site, carrier, {m: {x: act(x, m) for x in carrier[d]}
+                                         for m, _, d in site.morphisms})
+
+    def _set(self, site, carrier, action):
+        """Unchecked: carrier maps objects to tuples, action arrows to columns."""
+        self.site, self.carrier, self.action = site, carrier, action
         return self
 
     def elements(self, c):
@@ -552,11 +556,15 @@ def enumerate_quotient_objects(cat, c, cap=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 
 def product(site, factors):
-    """Pointwise product; elements are tuples.  Empty product = terminal."""
+    """Pointwise product; elements are tuples in ``itertools.product`` order,
+    and so is each column, the product of the factors' columns.  Empty = terminal."""
     factors = list(factors)
-    carrier = {c: itertools.product(*(X.elements(c) for X in factors)) for c in site.objects}
-    return Presheaf.derived(site, carrier,
-                            lambda xs, f: tuple(X.act(x, f) for X, x in zip(factors, xs)))
+    carrier = {c: tuple(itertools.product(*(X.elements(c) for X in factors)))
+               for c in site.objects}
+    action = {f: dict(zip(carrier[d], itertools.product(
+                  *([X.action[f][x] for x in X.carrier[d]] for X in factors))))
+              for f, _, d in site.morphisms}
+    return Presheaf.__new__(Presheaf)._set(site, carrier, action)
 
 
 def terminal(site):
@@ -600,21 +608,31 @@ def enumerate_morphisms(X, Y, *, injective_only=False, limit=None):
     search assigns images element by element; choosing x |-> y fixes
     x.f |-> y.f for every f into c, and since (x.f).g = x.(f*g) those images
     already form the subpresheaf x generates, so one pass over the arrows
-    into c propagates the choice and dead branches are cut early.
+    into c propagates the choice and dead branches are cut early.  With
+    ``injective_only`` a choice that gives two elements of one object the
+    same image is cut the same way, so ``limit`` counts injective maps.
     """
     if not X.site.same_site(Y.site):
         raise SiteMismatch("presheaves live on different sites")
     site = X.site
+    if injective_only and any(len(X.carrier[c]) > len(Y.carrier[c]) for c in site.objects):
+        return []
     items = [(c, x) for c in site.objects for x in X.elements(c)]
     results = []
     assign = {}
+    taken = set()  # (object, image) pairs assigned so far, when injective_only
 
     def propagate(c, x, y, trail):
         for f in site.morphisms_into(c):
-            key = (site.src[f], X.act(x, f))
-            image = Y.act(y, f)
+            a = site.src[f]
+            key = (a, X.action[f][x])
+            image = Y.action[f][y]
             cur = assign.get(key)
             if cur is None:
+                if injective_only:
+                    if (a, image) in taken:
+                        return False
+                    taken.add((a, image))
                 assign[key] = image
                 trail.append(key)
             elif cur != image:
@@ -627,9 +645,7 @@ def enumerate_morphisms(X, Y, *, injective_only=False, limit=None):
         while i < len(items) and items[i] in assign:
             i += 1
         if i == len(items):
-            m = PresheafMorphism.derived(X, Y, lambda c, x: assign[(c, x)])
-            if not injective_only or m.is_mono():
-                results.append(m)
+            results.append(PresheafMorphism.derived(X, Y, lambda c, x: assign[(c, x)]))
             return
         c, x = items[i]
         for y in Y.elements(c):
@@ -637,7 +653,7 @@ def enumerate_morphisms(X, Y, *, injective_only=False, limit=None):
             if propagate(c, x, y, trail):
                 extend(i + 1)
             for key in trail:
-                del assign[key]
+                taken.discard((key[0], assign.pop(key)))
             if limit is not None and len(results) >= limit:
                 return
 

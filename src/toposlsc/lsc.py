@@ -14,8 +14,8 @@ component xi_Xi, the normalization operator, computed once when it is built.
 Every value of the action and of a cocone component is looked up in Xi(c) and
 is the carrier's own instance; a congruence missing from Xi(c) raises.  The
 functoriality of the action and the naturality of each component hold by
-construction (they are identities of `precompose` and `from_labels`), so they
-are not re-checked here: the tests check them once per site.
+construction (they are identities of `precompose` and of kernel partitions),
+so they are not re-checked here: the tests check them once per site.
 """
 
 from .certificates import Certificate
@@ -78,8 +78,15 @@ def xi_component(L, X):
     if not L.site.same_site(X.site):
         raise SiteMismatch("presheaf does not live on the classifier's site")
     cat = L.site
-    return PresheafMorphism.derived(X, L, lambda c, x: L._intern(
-        c, RepCongruence.from_labels(cat, c, lambda u: X.act(x, u))))
+    columns = {}
+    for c in cat.objects:
+        # the action columns into c, transposed: one row of values x.u per x
+        into = cat.morphisms_into(c)
+        rows = zip(*(map(X.action[u].__getitem__, X.carrier[c]) for u in into))
+        srcs = [cat.src[u] for u in into]
+        columns[c] = {x: L._intern(c, RepCongruence._from_keys(cat, c, zip(srcs, row)))
+                      for x, row in zip(X.carrier[c], rows)}
+    return PresheafMorphism.derived(X, L, lambda c, x: columns[c][x])
 
 
 def verify_meet_compatibility(L, presheaves):

@@ -41,16 +41,17 @@ class FiniteGroup:
     """A finite group given by its multiplication table.
 
     Element names double as morphism names of the one-object site, so keep
-    them short and distinct.  The monoid laws are the site's category laws:
-    the site is built, and checked, once here, and the group itself checks
-    only that every element has a unique two-sided inverse.
+    them short and distinct; like the site, the group reads them through
+    ``str``.  The monoid laws are the site's category laws: the site is
+    built, and checked, once here, and the group itself checks only that
+    every element has a unique two-sided inverse.
     """
 
     def __init__(self, elements, mult_table, label=None, display=None):
-        self.elements = tuple(elements)
+        self.elements = tuple(map(str, elements))
         self.label = label or "G"
-        self.display = dict(display or {})  # element -> pretty name, for reports
-        self._mult = dict(mult_table)  # (a, b) -> a*b
+        self.display = {str(a): name for a, name in dict(display or {}).items()}  # reports
+        self._mult = {(str(a), str(b)): str(ab) for (a, b), ab in dict(mult_table).items()}
         self._site = monoid_site(self.elements, self.mult)
         self.identity = self._site.identity("*")
         self.inverse = {}

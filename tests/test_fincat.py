@@ -522,6 +522,42 @@ def test_enumerate_morphisms_matches_brute_force(site):
         assert _images(X, enumerate_morphisms(X, Y, injective_only=True)) == injective
         for k in (1, 2, 3):
             assert _images(X, enumerate_morphisms(X, Y, limit=k)) == images[:k]
+            # the cocone clause's combination: the pruned search stops after k injective maps
+            assert _images(X, enumerate_morphisms(X, Y, injective_only=True,
+                                                  limit=k)) == injective[:k]
+
+
+def test_no_injective_map_into_a_smaller_object(graph):
+    E, T = representable(graph, "E"), terminal(graph)
+    assert len(E.elements("V")) > len(T.elements("V"))
+    assert len(enumerate_morphisms(E, T)) == 1  # the one map collapses both vertices
+    assert enumerate_morphisms(E, T, injective_only=True) == []
+    assert enumerate_morphisms(E, T, injective_only=True, limit=1) == []
+
+
+PRODUCT_SITES = [fixtures.graph_site(), fixtures.chain_site(3),
+                 fixtures.idempotent_monoid_site(), fixtures.cyclic_group(4).site()]
+
+
+@pytest.mark.parametrize("site", PRODUCT_SITES, ids=["graph", "chain3", "idempotent", "Z4"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_product_table_is_the_pointwise_action(site, n, monkeypatch):
+    samples = _morphism_samples(site)
+    factors = [samples[(3 * i + 1) % len(samples)] for i in range(n)]
+
+    def refuse(self, x, f):
+        raise AssertionError("product acted element by element")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Presheaf, "act", refuse)
+        P = product(site, factors)
+    for c in site.objects:
+        assert P.carrier[c] == tuple(itertools.product(*(X.elements(c) for X in factors)))
+    for f, _, d in site.morphisms:
+        for xs in P.carrier[d]:
+            assert P.action[f][xs] == tuple(X.act(x, f) for X, x in zip(factors, xs))
+    checked = Presheaf(site, P.carrier, P.action)  # the public constructor checks the laws
+    assert checked == P
 
 
 def test_functoriality_check_rejects_bad_action(idem):

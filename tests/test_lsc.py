@@ -4,6 +4,7 @@ from toposlsc import fixtures
 from toposlsc.errors import ObjectMismatch, SiteMismatch
 from toposlsc.fincat import (
     Presheaf,
+    RepCongruence,
     coproduct,
     image_quotient,
     quotient_of_representable,
@@ -269,6 +270,44 @@ def test_xi_laws_and_interning_once_per_site(name):
         xi = xi_component(L, X).check_natural()
         assert all(_is_interned(L, c, q)
                    for c in site.objects for q in xi.components[c].values())
+
+
+def _xi_by_definition(L, X):
+    """xi_X read off the definition: x goes to the partition of each Hom(a, c)
+    by the value of x . u, one element and one arrow at a time."""
+    cat = L.site
+    return {c: {x: RepCongruence.from_labels(cat, c, lambda u: X.act(x, u))
+                for x in X.elements(c)} for c in cat.objects}
+
+
+def _xi_case(name):
+    """The classifier and the presheaves a case classifies: every sample of a
+    bundled site, the binary products the quotient-classifier certificate
+    builds on S4, or Xi itself for T3."""
+    from tests.test_fincat import _morphism_samples
+    from toposlsc.fincat import product, terminal
+
+    if name == "S4 products":
+        L = build_lsc(fixtures.symmetric_4().site())
+        pool = [terminal(L.site)] + [quotient_of_representable(q) for q in L.elements("*")]
+        pool.append(coproduct(pool[0], pool[1])[0])
+        return L, [product(L.site, [X, Y]) for X, Y in zip(pool, pool[1:])]
+    if name.startswith("T3"):
+        L = build_lsc(LAW_SITES[name])
+        return L, [L]
+    site = fixtures.bundled_sites()[name]
+    return build_lsc(site), _morphism_samples(site)
+
+
+@pytest.mark.parametrize("name", [*sorted(fixtures.bundled_sites()), "S4 products",
+                                  "T3 then", "T3 after"])
+def test_xi_component_matches_the_definition(name):
+    L, presheaves = _xi_case(name)
+    for X in presheaves:
+        xi = xi_component(L, X)
+        assert xi.components == _xi_by_definition(L, X)
+        assert all(_is_interned(L, c, q)
+                   for c in L.site.objects for q in xi.components[c].values())
 
 
 def test_reports_and_certificates_run_no_law_check(monkeypatch):

@@ -380,3 +380,16 @@ def test_monoid_site_reads_every_name_through_str():
     assert site.compose("0", "1") == "0" and site.compose("1", "1") == "1"
     assert site.same_site(monoid_site(["0", "1"], lambda a, b: str(int(a) * int(b))))
     assert len(build_lsc(site).elements("*")) == 2
+
+
+@pytest.mark.parametrize("names", [[0, 1], [(0,), (1,), (2,)]], ids=["int Z2", "tuple Z3"])
+def test_group_reads_non_string_names_through_str(names):
+    n = len(names)
+    G = FiniteGroup(names, {(a, b): names[(names.index(a) + names.index(b)) % n]
+                            for a in names for b in names}, display={names[0]: "e"})
+    assert G.elements == tuple(map(str, names))
+    assert G.identity == str(names[0]) == G.site().identity("*")
+    assert G.display == {str(names[0]): "e"}
+    assert G.mult(str(names[1]), str(names[-1])) == str(names[(1 + n - 1) % n])
+    assert [H.order for H in subgroups(G)] == [1, n]
+    assert len(build_lsc(G.site()).elements("*")) == 2

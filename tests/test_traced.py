@@ -43,8 +43,22 @@ def _filter_d4_s2():
     return reports.make_report("filter", {"selection_size": F.size()}, [cert])
 
 
+def _filter_s4_full():
+    # the sites workload's filter job: a core-free subgroup generates all of Xi(S4)
+    from perfbench.inputs import filter_candidates
+
+    G = io.load_group(io.dump_group(fixtures.symmetric_4()))
+    L = lsc.build_lsc(G.site())
+    selection = io.load_filter_selection(L, {"*": filter_candidates(G)[:1]})
+    F = filters.filter_generated_by(L, selection)
+    assert F == filters.full_filter(L)
+    cert = filters.certify_quotient_classifier(F)
+    return reports.make_report("filter", {"selection_size": F.size()}, [cert])
+
+
 ENTRY_POINTS = {"lsc graph": _lsc_graph, "group D4": _group_d4,
-                "words (ab)*": _words_abstar, "filter D4 <s2>": _filter_d4_s2}
+                "words (ab)*": _words_abstar, "filter D4 <s2>": _filter_d4_s2,
+                "filter S4 full": _filter_s4_full}
 
 
 def _traced_equals_untraced(run):
