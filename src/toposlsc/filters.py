@@ -22,15 +22,14 @@ from .errors import (
     UnknownObject,
 )
 from .fincat import (
-    Presheaf,
     PresheafMorphism,
     RepCongruence,
     coproduct,
     enumerate_morphisms,
     equalizer,
-    inclusion,
     product,
     quotient_of_representable,
+    subpresheaf,
     terminal,
 )
 from .lsc import xi_component
@@ -91,8 +90,7 @@ class InternalFilter:
     def as_presheaf(self):
         """The selection as a subpresheaf of Xi (requires action-closure)."""
         self._require_subpresheaf()
-        cat = self.lsc.site
-        return Presheaf.derived(cat, {c: self._selected(c) for c in cat.objects}, self.lsc.act)
+        return subpresheaf(self.lsc, self.selection)[0]
 
     def __eq__(self, other):
         return (isinstance(other, InternalFilter) and self.lsc is other.lsc
@@ -183,11 +181,8 @@ def _classify(F, X):
 
 def _coreflect(F, X, xi):
     """GX, the elements of X that xi sends into F, with its counit."""
-    cat = F.lsc.site
-    carrier = {c: [x for x in X.elements(c) if F.contains(c, xi.components[c][x])]
-               for c in cat.objects}
-    GX = Presheaf.derived(cat, carrier, X.act)
-    return GX, inclusion(GX, X)
+    return subpresheaf(X, {c: {x for x, q in xi.components[c].items() if F.contains(c, q)}
+                           for c in F.lsc.site.objects})
 
 
 def in_subcategory(F, X):
@@ -195,8 +190,7 @@ def in_subcategory(F, X):
     xi, outside = _classify(F, X)
     if outside is not None:
         return Membership(False, None, outside)
-    return Membership(True, PresheafMorphism.derived(X, F.as_presheaf(),
-                                                     lambda c, x: xi.components[c][x]), None)
+    return Membership(True, PresheafMorphism.derived(X, F.as_presheaf(), xi.components), None)
 
 
 def comonad_apply(F, X):
@@ -297,8 +291,7 @@ def _comonad_counterexamples(F, pool, classified):
             yield ("counit not monic", X)
         if comonad_apply(F, GX)[0].carrier != GX.carrier:
             yield ("G not idempotent", X)
-    T = terminal(cat)
-    if comonad_apply(F, T)[0].carrier != T.carrier:
+    if images[0].carrier != pool[0].carrier:  # pool[0] is the terminal presheaf
         yield ("G does not preserve the terminal object",)
     kept = [{c: set(GX.elements(c)) for c in cat.objects} for GX in images]
     for i, (X, Y) in enumerate(zip(pool, pool[1:])):

@@ -53,6 +53,9 @@ class FiniteCategory:
         self._obj_index = {c: i for i, c in enumerate(self.objects)}
         if len(self._obj_index) != len(self.objects):
             raise UnknownObject("duplicate object names")
+        for c in self.identities:
+            if c not in self._obj_index:
+                raise UnknownObject(f"identity given for {c!r}, which is not an object")
         self.src = {}
         self.dst = {}
         self.mor_index = {}
@@ -173,22 +176,12 @@ class Presheaf:
         self.check_functorial()
 
     @classmethod
-    def derived(cls, site, carrier, act):
-        """The presheaf on ``carrier`` (every object -> elements) with
-        x . f = act(x, f), a rule whose laws hold by construction: unchecked."""
-        return cls.__new__(cls)._derive(site, carrier, act)
-
-    def _derive(self, site, carrier, act):
-        """Set the carrier, then tabulate the rule `act`, which may read the
-        carrier already set, and hand the table to `_set`."""
-        self.carrier = carrier = {c: tuple(carrier[c]) for c in site.objects}
-        return self._set(site, carrier, {m: {x: act(x, m) for x in carrier[d]}
-                                         for m, _, d in site.morphisms})
-
-    def _set(self, site, carrier, action):
-        """Unchecked: carrier maps objects to tuples, action arrows to columns."""
-        self.site, self.carrier, self.action = site, carrier, action
-        return self
+    def derived(cls, site, carrier, action):
+        """``Presheaf(site, carrier, action)`` for tables whose laws hold by
+        construction, taken as given: every object has a tuple, every arrow a column."""
+        X = cls.__new__(cls)
+        X.site, X.carrier, X.action = site, carrier, action
+        return X
 
     def elements(self, c):
         if c not in self.carrier:
@@ -246,20 +239,15 @@ class PresheafMorphism:
     """A natural transformation between presheaves on the same site."""
 
     def __init__(self, source, target, components):
-        self.source = source
-        self.target = target
+        self.source, self.target = source, target
         self.components = {c: dict(components.get(c, {})) for c in source.site.objects}
         self.check_natural()
 
     @classmethod
-    def derived(cls, source, target, image):
-        """The morphism whose component at c sends x to image(c, x), a rule
-        natural by construction: unchecked."""
+    def derived(cls, source, target, components):
+        """``PresheafMorphism(...)`` for components natural by construction, unchecked."""
         m = cls.__new__(cls)
-        m.source = source
-        m.target = target
-        m.components = {c: {x: image(c, x) for x in source.elements(c)}
-                        for c in source.site.objects}
+        m.source, m.target, m.components = source, target, components
         return m
 
     def is_mono(self):
@@ -474,7 +462,9 @@ def representable(cat, c):
     """The Yoneda presheaf y(c): Hom(-, c) with action by precomposition."""
     if c not in cat._obj_index:
         raise UnknownObject(f"unknown object {c!r}")
-    y = Presheaf.derived(cat, {a: cat.hom(a, c) for a in cat.objects}, cat.compose)
+    carrier, comp = {a: cat.hom(a, c) for a in cat.objects}, cat.composition
+    y = Presheaf.derived(cat, carrier, {f: {u: comp[(u, f)] for u in carrier[d]}
+                                        for f, _, d in cat.morphisms})
     y.representing = c
     return y
 
@@ -484,7 +474,9 @@ def yoneda_morphism(X, c, x):
     cat = X.site
     if x not in set(X.elements(c)):
         raise ElementNotInCarrier(f"{x!r} is not in X({c!r})")
-    return PresheafMorphism.derived(representable(cat, c), X, lambda a, u: X.act(x, u))
+    y = representable(cat, c)
+    return PresheafMorphism.derived(y, X, {a: {u: X.action[u][x] for u in y.carrier[a]}
+                                           for a in cat.objects})
 
 
 def image_quotient(m):
@@ -505,7 +497,9 @@ def quotient_of_representable(q):
     cat = q.site
     carrier = q.blocks
     block_of = {u: b for bs in carrier.values() for b in bs for u in b}
-    return Presheaf.derived(cat, carrier, lambda b, f: block_of[cat.compose(b[0], f)])
+    comp = cat.composition
+    return Presheaf.derived(cat, carrier, {f: {b: block_of[comp[(b[0], f)]] for b in carrier[d]}
+                                           for f, _, d in cat.morphisms})
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +558,21 @@ def product(site, factors):
     action = {f: dict(zip(carrier[d], itertools.product(
                   *([X.action[f][x] for x in X.carrier[d]] for X in factors))))
               for f, _, d in site.morphisms}
-    return Presheaf.__new__(Presheaf)._set(site, carrier, action)
+    return Presheaf.derived(site, carrier, action)
 
 
 def terminal(site):
     return product(site, [])
+
+
+def subpresheaf(X, keep):
+    """The subpresheaf on the elements of X(c) in ``keep[c]`` (closed under the
+    action), with X's order and columns restricted to them, and its inclusion."""
+    site = X.site
+    carrier = {c: tuple(x for x in X.carrier[c] if x in keep[c]) for c in site.objects}
+    action = {f: {x: X.action[f][x] for x in carrier[d]} for f, _, d in site.morphisms}
+    S = Presheaf.derived(site, carrier, action)
+    return S, PresheafMorphism.derived(S, X, {c: dict(zip(xs, xs)) for c, xs in carrier.items()})
 
 
 def equalizer(f, g):
@@ -576,25 +580,21 @@ def equalizer(f, g):
     if f.source != g.source or f.target != g.target:
         raise NotParallel("equalizer needs a parallel pair")
     X = f.source
-    carrier = {c: [x for x in X.elements(c) if f.components[c][x] == g.components[c][x]]
-               for c in X.site.objects}
-    E = Presheaf.derived(X.site, carrier, X.act)
-    return E, inclusion(E, X)
+    return subpresheaf(X, {c: {x for x, y in f.components[c].items() if g.components[c][x] == y}
+                           for c in X.site.objects})
 
 
 def coproduct(X, Y):
-    """Disjoint union, with both injections."""
-    carrier = {c: [("l", x) for x in X.elements(c)] + [("r", y) for y in Y.elements(c)]
-               for c in X.site.objects}
-    P = Presheaf.derived(X.site, carrier,
-                         lambda z, f: (z[0], (X if z[0] == "l" else Y).act(z[1], f)))
-    return P, inclusion(X, P, "l"), inclusion(Y, P, "r")
-
-
-def inclusion(S, X, tag=None):
-    """The inclusion of S into X: x |-> x, or x |-> (tag, x) when X tags the
-    elements it takes from S, as a coproduct does."""
-    return PresheafMorphism.derived(S, X, lambda c, x: x if tag is None else (tag, x))
+    """Disjoint union, X's elements tagged "l" and Y's "r", with both injections."""
+    site = X.site
+    parts = (("l", X), ("r", Y))
+    carrier = {c: tuple((t, x) for t, Z in parts for x in Z.carrier[c]) for c in site.objects}
+    action = {f: {(t, x): (t, Z.action[f][x]) for t, Z in parts for x in Z.carrier[d]}
+              for f, _, d in site.morphisms}
+    P = Presheaf.derived(site, carrier, action)
+    inl, inr = (PresheafMorphism.derived(Z, P, {c: {x: (t, x) for x in Z.carrier[c]}
+                                                for c in site.objects}) for t, Z in parts)
+    return P, inl, inr
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +645,8 @@ def enumerate_morphisms(X, Y, *, injective_only=False, limit=None):
         while i < len(items) and items[i] in assign:
             i += 1
         if i == len(items):
-            results.append(PresheafMorphism.derived(X, Y, lambda c, x: assign[(c, x)]))
+            results.append(PresheafMorphism.derived(
+                X, Y, {c: {x: assign[(c, x)] for x in X.carrier[c]} for c in site.objects}))
             return
         c, x = items[i]
         for y in Y.elements(c):

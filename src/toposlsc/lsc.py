@@ -7,9 +7,9 @@ canonical cocone { xi_X: X -> Xi } sending an element to the kernel congruence
 of its classifying morphism, and a meet-semilattice structure given by
 intersection of congruences with the total congruence on top.
 
-`LocalStateClassifier` is that presheaf, not a wrapper around one: it is a
-`Presheaf` whose action is built by the derived route, and it carries its own
-component xi_Xi, the normalization operator, computed once when it is built.
+`LocalStateClassifier` is that presheaf, not a wrapper around one: a `Presheaf`
+that sets its own tables unchecked, as `Presheaf.derived` does, and carries
+its own component xi_Xi, the normalization operator, computed once when built.
 
 Every value of the action and of a cocone component is looked up in Xi(c) and
 is the carrier's own instance; a congruence missing from Xi(c) raises.  The
@@ -27,7 +27,6 @@ from .fincat import (
     RepCongruence,
     enumerate_quotient_objects,
     product,
-    terminal,
 )
 
 
@@ -36,8 +35,10 @@ class LocalStateClassifier(Presheaf):
     own cocone component xi_Xi, built from the carrier Xi(c) of each object."""
 
     def __init__(self, site, carrier):
+        self.site, self.carrier = site, carrier
         self._index = {c: {q: i for i, q in enumerate(qs)} for c, qs in carrier.items()}
-        self._derive(site, carrier, lambda q, f: self._intern(site.src[f], q.precompose(f)))
+        self.action = {f: {q: self._intern(a, q.precompose(f)) for q in carrier[d]}
+                       for f, a, d in site.morphisms}
         self.top = {c: self._intern(c, RepCongruence.total(site, c)) for c in site.objects}
         self.normalization = xi_component(self, self)
 
@@ -86,7 +87,7 @@ def xi_component(L, X):
         srcs = [cat.src[u] for u in into]
         columns[c] = {x: L._intern(c, RepCongruence._from_keys(cat, c, zip(srcs, row)))
                       for x, row in zip(X.carrier[c], rows)}
-    return PresheafMorphism.derived(X, L, lambda c, x: columns[c][x])
+    return PresheafMorphism.derived(X, L, columns)
 
 
 def verify_meet_compatibility(L, presheaves):
@@ -99,7 +100,7 @@ def verify_meet_compatibility(L, presheaves):
     cert = Certificate("meet-compatibility")
     cat = L.site
     factors = list(presheaves)
-    P = product(cat, factors) if factors else terminal(cat)
+    P = product(cat, factors)
     xi_p = xi_component(L, P)
     parts = [xi_component(L, X) for X in factors]
 

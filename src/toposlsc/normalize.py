@@ -237,3 +237,9 @@ def normalization_table(G, L):
     sub = {q: congruence_to_subgroup(G, q) for q in L.elements("*")}
     normalizer = {sub[q]: sub[op[q]] for q in L.elements("*")}
     return {H: normalizer[H] for H in _lattice_order(normalizer)}
+
+
+def _normalizer_counterexamples(G, table):
+    """(H, N, N_G(H)) for each H whose normalizer N in ``table`` is not the oracle's."""
+    return ((H, N, direct) for H, N in table.items()
+            for direct in [normalizer_direct(G, H)] if N != direct)

@@ -400,4 +400,4 @@ def test_s4_full_filter_certificate_classifies_each_sample_once(monkeypatch):
     assert cert.checks[1].witness == "287 injective maps checked"
     assert counts["xi_component"] <= 135
     assert counts["as_presheaf"] == 0
-    assert counts["act"] < 600_000
+    assert counts["act"] < 5_000

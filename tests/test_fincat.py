@@ -30,10 +30,11 @@ from toposlsc.fincat import (
     product,
     quotient_of_representable,
     representable,
+    subpresheaf,
     terminal,
     yoneda_morphism,
 )
-from toposlsc.lsc import build_lsc
+from toposlsc.lsc import build_lsc, xi_component
 from toposlsc.normalize import monoid_site
 from toposlsc.reports import lsc_report, render
 
@@ -558,6 +559,51 @@ def test_product_table_is_the_pointwise_action(site, n, monkeypatch):
             assert P.action[f][xs] == tuple(X.act(x, f) for X, x in zip(factors, xs))
     checked = Presheaf(site, P.carrier, P.action)  # the public constructor checks the laws
     assert checked == P
+
+
+@pytest.mark.parametrize("site", PRODUCT_SITES, ids=["graph", "chain3", "idempotent", "Z4"])
+def test_derived_structures_pass_the_checked_constructors(site):
+    presheaves, morphisms = [], []
+
+    def sub(X, keep):
+        S, incl = subpresheaf(X, keep)
+        assert all(S.carrier[c] == tuple(x for x in X.carrier[c] if x in keep[c])
+                   for c in site.objects)
+        presheaves.append(S)
+        morphisms.append(incl)
+
+    samples = _morphism_samples(site)  # terminal, y(c), y(c)/q, one coproduct
+    presheaves += samples
+    for X, Y in zip(samples, samples[1:]):
+        presheaves.append(product(site, [X, Y]))
+        P, inl, inr = coproduct(X, Y)
+        presheaves.append(P)
+        morphisms += [inl, inr]
+    unequal = 0
+    for X, Y in itertools.product(samples, repeat=2):
+        fs = enumerate_morphisms(X, Y)
+        morphisms += fs
+        for f, g in itertools.combinations(fs[:3], 2):
+            E, incl = equalizer(f, g)
+            presheaves.append(E)
+            morphisms.append(incl)
+            unequal += E.carrier != X.carrier
+    assert unequal > 0  # some equalizer is a proper subpresheaf
+    for X in samples:
+        for c in site.objects:
+            for x in X.carrier[c]:
+                y = yoneda_morphism(X, c, x)
+                morphisms.append(y)
+                # the subpresheaf x generates is the image of its Yoneda map
+                sub(X, {a: set(comp.values()) for a, comp in y.components.items()})
+    L = build_lsc(site)
+    presheaves.append(L)
+    morphisms += [xi_component(L, X) for X in presheaves]
+    for X in presheaves:
+        assert all(type(X.carrier[c]) is tuple for c in site.objects), X
+        assert Presheaf(site, X.carrier, X.action) == X
+    for m in morphisms:
+        assert PresheafMorphism(m.source, m.target, m.components) == m
 
 
 def test_functoriality_check_rejects_bad_action(idem):

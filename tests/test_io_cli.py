@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from toposlsc import cli, fixtures, io
 from toposlsc.cli import main
-from toposlsc.errors import InputFormatError
+from toposlsc.errors import InputFormatError, UnknownObject
+from toposlsc.fincat import FiniteCategory
 from toposlsc.lsc import build_lsc
 from toposlsc.reports import lsc_report, render_machine, words_report
 from toposlsc.words import regex_to_min_dfa
@@ -302,6 +303,18 @@ def test_cli_invalid_category_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.cat"
     path.write_text(json.dumps(data))
     assert main(["lsc", str(path)]) == 2
+
+
+def test_identity_keyed_by_a_non_object_exits_2(tmp_path, capsys):
+    with pytest.raises(UnknownObject):
+        FiniteCategory(["V"], [("i", "V", "V")], {"V": "i", "W": "i"}, {("i", "i"): "i"})
+    data = io.dump_category(fixtures.graph_site())
+    data["identities"]["X"] = "id_V"
+    path = tmp_path / "stray.cat"
+    path.write_text(json.dumps(data))
+    assert main(["lsc", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "UnknownObject" in captured.err and captured.out == ""
 
 
 def _renamed(data, old, new):

@@ -393,3 +393,22 @@ def test_group_reads_non_string_names_through_str(names):
     assert G.mult(str(names[1]), str(names[-1])) == str(names[(1 + n - 1) % n])
     assert [H.order for H in subgroups(G)] == [1, n]
     assert len(build_lsc(G.site()).elements("*")) == 2
+
+
+def test_a_failed_normalizer_check_carries_its_witness(monkeypatch, d4):
+    # the group report and the verify suite search one counterexample
+    # generator, so a failed oracle agreement names the subgroup it fails on
+    from toposlsc import normalize
+    from toposlsc.certificates import Certificate
+    from toposlsc.reports import group_report
+    from toposlsc.verify import _group_oracle_check
+
+    L = build_lsc(d4.site())
+    monkeypatch.setattr(normalize, "normalizer_direct", lambda G, H: H)
+    verdict = group_report(d4, L)["verdicts"][0]
+    assert verdict["check"] == "normalizer-oracle-agreement"
+    assert verdict["pass"] is False and verdict["witness"] is not None
+    cert = Certificate("normalize")
+    _group_oracle_check(cert, d4, L)
+    H, N, direct = cert.checks[0].witness
+    assert not cert.checks[0].passed and N != H == direct
