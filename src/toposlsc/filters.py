@@ -1,11 +1,11 @@
 """Internal filters of the classifier and the quotients they induce.
 
-A subpresheaf F of Xi that contains top and is pointwise upward- and
-meet-closed picks out a full subcategory E_F (the presheaves all of whose
-elements classify into F) together with an idempotent lex comonad G with
-GX(c) = { x in X(c) | xi_X(x) in F(c) } and monic counit.  The certificate
-routine checks, exhaustively on sample presheaves, that the corestricted
-cocone behaves as the local state classifier of that quotient.
+A sub-presheaf F of Xi (an `InternalFilter`) that contains top and is
+pointwise upward- and meet-closed picks out a full subcategory E_F (the
+presheaves all of whose elements classify into F) together with an
+idempotent lex comonad G with GX(c) = { x in X(c) | xi_X(x) in F(c) }.  The
+certificate routine checks, exhaustively on sample presheaves, that the
+corestricted cocone behaves as the local state classifier of that quotient.
 """
 
 from collections import namedtuple
@@ -22,6 +22,7 @@ from .errors import (
     UnknownObject,
 )
 from .fincat import (
+    Presheaf,
     PresheafMorphism,
     RepCongruence,
     coproduct,
@@ -54,52 +55,33 @@ def _check_keyed(L, selection):
                 raise ElementNotInCarrier(f"{q!r} is not an element of Xi({c!r})")
 
 
-class InternalFilter:
-    """A per-object selection of congruences.  Construction does not
-    validate; use `validate_filter` for a checked instance."""
+class InternalFilter(Presheaf):
+    """The sub-presheaf of Xi on a per-object selection of congruences, kept
+    as frozensets for `contains`: Xi's order and columns restricted to it.
+
+    Construction checks the keys (`_check_keyed`) and raises NotSubpresheaf
+    with the first (q, f), over the arrows and Xi's order, where q.f leaves
+    the selection.  `validate_filter` checks the filter laws.
+    """
 
     def __init__(self, lsc, selection):
+        chosen = {c: frozenset(qs) for c, qs in selection.items()}
+        _check_keyed(lsc, chosen)
         self.lsc = lsc
-        self.selection = {c: frozenset(selection.get(c, ())) for c in lsc.site.objects}
+        self.selection = {c: chosen.get(c, frozenset()) for c in lsc.site.objects}
+        S = subpresheaf(lsc, self.selection)[0]
+        bad = next(((q, f) for f, s, _ in lsc.site.morphisms
+                    for q, p in S.action[f].items() if p not in self.selection[s]), None)
+        if bad is not None:
+            raise NotSubpresheaf(f"{bad[0]!r} . {bad[1]!r} leaves the selection", witness=bad)
+        self.site, self.carrier, self.action = S.site, S.carrier, S.action
 
     def contains(self, c, q):
         return q in self.selection[c]
 
-    def size(self):
-        return sum(len(v) for v in self.selection.values())
-
-    def _selected(self, c):
-        """The selection at c in carrier order, which no hash seed changes."""
-        return [q for q in self.lsc.elements(c) if q in self.selection[c]]
-
-    def subpresheaf_violation(self):
-        """(q, f) with q selected but q.f not, or None."""
-        L = self.lsc
-        _check_keyed(L, self.selection)
-        return next(((q, name) for name, s, d in L.site.morphisms for q in self._selected(d)
-                     if L.act(q, name) not in self.selection[s]), None)
-
-    def _require_subpresheaf(self):
-        """Raise NotSubpresheaf with the (q, f) witness unless the selection
-        is closed under the action."""
-        bad = self.subpresheaf_violation()
-        if bad is not None:
-            raise NotSubpresheaf(
-                f"{bad[0]!r} . {bad[1]!r} leaves the selection", witness=bad)
-
-    def as_presheaf(self):
-        """The selection as a subpresheaf of Xi (requires action-closure)."""
-        self._require_subpresheaf()
-        return subpresheaf(self.lsc, self.selection)[0]
-
     def __eq__(self, other):
         return (isinstance(other, InternalFilter) and self.lsc is other.lsc
                 and self.selection == other.selection)
-
-    def __repr__(self):
-        sizes = ", ".join(f"{c}:{len(self.selection[c])}"
-                          for c in self.lsc.site.objects)
-        return f"InternalFilter({sizes})"
 
 
 def full_filter(L):
@@ -114,16 +96,15 @@ def top_filter(L):
 def validate_filter(L, selection):
     """Check the filter clauses, raising the first violated one with witness.
 
-    Order: subpresheaf, upward closure, top membership, meet closure.  With
-    this order a selection missing top is reported as an upward-closure
-    failure whenever it contains anything below top; MissingTop is reserved
-    for selections that are empty somewhere.
+    Order: sub-presheaf (when the InternalFilter is built), upward closure,
+    top membership, meet closure.  With this order a selection missing top
+    is reported as an upward-closure failure whenever it contains anything
+    below top; MissingTop is reserved for selections that are empty somewhere.
     """
     F = selection if isinstance(selection, InternalFilter) else InternalFilter(L, selection)
-    F._require_subpresheaf()
     for c in L.site.objects:
         chosen = F.selection[c]
-        for q in F._selected(c):
+        for q in F.carrier[c]:
             for q2 in L.elements(c):
                 if q.leq(q2) and q2 not in chosen:
                     raise NotUpwardClosed(
@@ -134,7 +115,7 @@ def validate_filter(L, selection):
             raise MissingTop(f"total congruence missing at {c!r}",
                              witness=(c, L.top_at(c)))
     for c in L.site.objects:
-        chosen = F._selected(c)
+        chosen = F.carrier[c]
         for i, q1 in enumerate(chosen):
             for q2 in chosen[i:]:
                 if q1.meet(q2) not in F.selection[c]:
@@ -182,7 +163,7 @@ def _classify(F, X):
 def _coreflect(F, X, xi):
     """GX, the elements of X that xi sends into F, with its counit."""
     return subpresheaf(X, {c: {x for x, q in xi.components[c].items() if F.contains(c, q)}
-                           for c in F.lsc.site.objects})
+                           for c in F.site.objects})
 
 
 def in_subcategory(F, X):
@@ -190,11 +171,11 @@ def in_subcategory(F, X):
     xi, outside = _classify(F, X)
     if outside is not None:
         return Membership(False, None, outside)
-    return Membership(True, PresheafMorphism.derived(X, F.as_presheaf(), xi.components), None)
+    return Membership(True, PresheafMorphism.derived(X, F, xi.components), None)
 
 
 def comonad_apply(F, X):
-    """GX as the elements classifying into F, with its (monic) counit."""
+    """GX as the elements classifying into F, with its counit, the inclusion."""
     return _coreflect(F, X, _classify(F, X)[0])
 
 
@@ -206,22 +187,21 @@ def certify_quotient_classifier(F):
       cocone              xi^F is constant along injective maps of members;
       joint-surjectivity  every selected q is hit by the quotient y(c)/q,
                           which itself belongs to the subcategory;
-      comonad             G is idempotent with monic counit and preserves
-                          the terminal object, sampled binary products and
-                          sampled equalizers.
+      comonad             G is idempotent and preserves the terminal
+                          object, sampled binary products and sampled
+                          equalizers.
 
     The samples are the terminal presheaf, every y(c)/q and the coproduct of
     the first two.  Each sample is classified once, and the clauses read
     membership, xi and GX from that.
 
-    A selection not closed under the action is no subpresheaf of Xi, so no
-    clause applies: it raises NotSubpresheaf with the (q, f) witness.
+    F is a sub-presheaf of Xi once built, so every clause applies to it;
+    one that breaks the filter laws fails clauses here instead of raising.
     """
-    F._require_subpresheaf()
     cert = Certificate("quotient-classifier")
-    cat = F.lsc.site
+    cat = F.site
     quotients = [(c, q, quotient_of_representable(q)) for c in cat.objects
-                 for q in F._selected(c)]
+                 for q in F.carrier[c]]
 
     # (a) the filter lives in its own subcategory
     cert.check("F-in-EF", _self_membership_counterexamples(F))
@@ -257,7 +237,7 @@ def certify_quotient_classifier(F):
     cert.check("joint-surjectivity",
                _surjectivity_counterexamples(cat, quotients, quotient_classes))
 
-    # (d) comonad sanity: idempotent, monic counit, lex on samples
+    # (d) comonad sanity: idempotent, lex on samples
     cert.check("comonad", _comonad_counterexamples(F, pool, classified))
     return cert
 
@@ -265,7 +245,7 @@ def certify_quotient_classifier(F):
 def _self_membership_counterexamples(F):
     op = normalization_operator(F.lsc)
     for c in F.lsc.site.objects:
-        yield from (q for q in F._selected(c) if not F.contains(c, op.components[c][q]))
+        yield from (q for q in F.carrier[c] if not F.contains(c, op.components[c][q]))
 
 
 def _surjectivity_counterexamples(cat, quotients, classes):
@@ -279,16 +259,13 @@ def _surjectivity_counterexamples(cat, quotients, classes):
 
 
 def _comonad_counterexamples(F, pool, classified):
-    """Stages in order: counit monic and G idempotent per sample, terminal
-    preserved, binary products of neighbours, equalizers among the first
-    three samples."""
-    cat = F.lsc.site
+    """Stages in order: G idempotent per sample, terminal preserved, binary
+    products of neighbours, equalizers among the first three samples."""
+    cat = F.site
     images = []
     for X, (xi, _) in zip(pool, classified):
-        GX, counit = _coreflect(F, X, xi)
+        GX = _coreflect(F, X, xi)[0]
         images.append(GX)
-        if not counit.is_mono():
-            yield ("counit not monic", X)
         if comonad_apply(F, GX)[0].carrier != GX.carrier:
             yield ("G not idempotent", X)
     if images[0].carrier != pool[0].carrier:  # pool[0] is the terminal presheaf

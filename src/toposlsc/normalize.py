@@ -42,9 +42,9 @@ class FiniteGroup:
 
     Element names double as morphism names of the one-object site, so keep
     them short and distinct; like the site, the group reads them through
-    ``str``.  The monoid laws are the site's category laws: the site is
-    built, and checked, once here, and the group itself checks only that
-    every element has a unique two-sided inverse.
+    ``str``.  The monoid laws are the site's category laws: once every pair
+    has a product, the site is built, and checked, once here, and the group
+    itself checks only that every element has a unique two-sided inverse.
     """
 
     def __init__(self, elements, mult_table, label=None, display=None):
@@ -52,6 +52,10 @@ class FiniteGroup:
         self.label = label or "G"
         self.display = {str(a): name for a, name in dict(display or {}).items()}  # reports
         self._mult = {(str(a), str(b)): str(ab) for (a, b), ab in dict(mult_table).items()}
+        missing = [(a, b) for a in self.elements for b in self.elements
+                   if (a, b) not in self._mult]
+        if missing:
+            raise NotAGroup(f"{self.label}: no product given for {missing[0]!r}")
         self._site = monoid_site(self.elements, self.mult)
         self.identity = self._site.identity("*")
         self.inverse = {}

@@ -37,7 +37,7 @@ from toposlsc.filters import (
     top_filter,
     validate_filter,
 )
-from toposlsc.lsc import build_lsc
+from toposlsc.lsc import build_lsc, xi_component
 from toposlsc.normalize import monoid_site, subgroup_to_congruence
 from toposlsc.verify import graph_nonfilter_selection
 
@@ -124,7 +124,7 @@ def test_missing_meet_reports_not_meet_closed(d4, d4_lsc, named):
         validate_filter(d4_lsc, selection)
 
 
-@pytest.mark.parametrize("use", ["generate", "validate", "as_presheaf"])
+@pytest.mark.parametrize("use", ["generate", "validate", "construct"])
 def test_congruence_selected_at_the_wrong_object_is_an_object_mismatch(graph_lsc, use):
     miskeyed = {"E": [graph_lsc.top_at("V")]}
     with pytest.raises(ObjectMismatch):
@@ -133,16 +133,19 @@ def test_congruence_selected_at_the_wrong_object_is_an_object_mismatch(graph_lsc
         elif use == "validate":
             validate_filter(graph_lsc, miskeyed)
         else:
-            InternalFilter(graph_lsc, miskeyed).as_presheaf()
+            InternalFilter(graph_lsc, miskeyed)
 
 
 @pytest.mark.parametrize("call, error", [
     (lambda L: filter_generated_by(L, {"nope": [L.top_at("V")]}), UnknownObject),
     (lambda L: filter_generated_by(L, {"E": ["junk"]}), ElementNotInCarrier),
+    (lambda L: validate_filter(L, {"nope": [L.top_at("V")], "V": [L.top_at("V")],
+                                   "E": [L.top_at("E")]}), UnknownObject),
     (lambda L: enumerate_morphisms(terminal(L.site),
                                    terminal(fixtures.idempotent_monoid_site())),
      SiteMismatch),
-], ids=["seed-at-unknown-object", "seed-not-a-congruence", "morphisms-across-sites"])
+], ids=["seed-at-unknown-object", "seed-not-a-congruence", "selection-at-unknown-object",
+        "morphisms-across-sites"])
 def test_library_inputs_on_the_filter_path_raise_typed_errors(graph_lsc, call, error):
     with pytest.raises(error):
         call(graph_lsc)
@@ -249,6 +252,24 @@ def test_generated_filter_is_the_least_filter_containing_the_seeds(site):
         assert filter_generated_by(L, seeds).selection == least
 
 
+@pytest.mark.parametrize("site", [site for _, site in FILTER_SITES],
+                         ids=[name for name, _ in FILTER_SITES])
+def test_a_filter_is_its_own_subpresheaf_of_xi(site):
+    # F's tables are Xi's restricted to the selection, in Xi's order, and
+    # xi_F is xi_Xi on them: the cocone is constant along F -> Xi
+    L = build_lsc(site)
+    found = all_filters(L)
+    assert {c: frozenset([L.top_at(c)]) for c in site.objects} in found
+    for selection in found:
+        F = InternalFilter(L, selection)
+        Presheaf(L.site, F.carrier, F.action)
+        xi = xi_component(L, F)
+        for c in site.objects:
+            assert F.carrier[c] == tuple(q for q in L.elements(c) if q in selection[c])
+            assert all(xi.components[c][q] == L.normalization.components[c][q]
+                       for q in F.carrier[c])
+
+
 # --- membership and the comonad ------------------------------------------------------
 
 def test_everything_belongs_to_the_full_filter(graph_lsc):
@@ -270,7 +291,7 @@ def test_membership_lift_corestricts(graph_lsc):
     F = top_filter(graph_lsc)
     X = all_loops(graph_lsc.site)
     result = in_subcategory(F, X)
-    assert result.lift.target.carrier == F.as_presheaf().carrier
+    assert result.lift.target is F
     result.lift.check_natural()
 
 
@@ -392,12 +413,9 @@ def test_s4_full_filter_certificate_classifies_each_sample_once(monkeypatch):
 
     monkeypatch.setattr(filters, "xi_component",
                         counting("xi_component", filters.xi_component))
-    monkeypatch.setattr(InternalFilter, "as_presheaf",
-                        counting("as_presheaf", InternalFilter.as_presheaf))
     monkeypatch.setattr(Presheaf, "act", counting("act", Presheaf.act))
     cert = certify_quotient_classifier(full_filter(L))
     assert cert.ok
     assert cert.checks[1].witness == "287 injective maps checked"
     assert counts["xi_component"] <= 135
-    assert counts["as_presheaf"] == 0
     assert counts["act"] < 5_000

@@ -52,6 +52,11 @@ def test_group_table_validation():
         FiniteGroup.from_table(["e", "a"], [[0, 1]])  # not square
 
 
+def test_group_table_with_a_missing_entry_names_the_first_missing_pair():
+    with pytest.raises(NotAGroup, match=r"\('a', 'e'\)"):
+        FiniteGroup(["e", "a"], {("e", "e"): "e", ("e", "a"): "a"})
+
+
 def test_d4_satisfies_its_presentation(d4):
     s, t = "s", "t"
     assert d4.mult(t, s) == d4.mult("s3", t)  # t s = s^3 t
