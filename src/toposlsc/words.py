@@ -26,8 +26,9 @@ The pipeline regex -> NFA -> DFA -> minimal DFA is deliberately standard
 top of it: Nerode congruences, the congruence action and meets, syntactic
 monoids via transition monoids, orbit infima, and the normalization operator
 that groups states by the pointed-isomorphism class of their futures.  The
-word oracles stay off that pipeline: `regex_member` derives (Brzozowski) with
-a memo per tree, and the two-sided oracle walks bounded breadth-first layers.
+word oracles stay off that pipeline: the residual oracle derives (Brzozowski)
+each derivative by each letter once and signs each derivative once, and the
+two-sided oracle walks bounded breadth-first layers.
 """
 
 import heapq
@@ -986,17 +987,34 @@ def words_normalization_operator(rc):
 # independent oracles
 # ---------------------------------------------------------------------------
 
-def residual_count_by_words(member, alphabet, prefix_bound, suffix_bound):
+def residual_count_by_words(tree, alphabet, prefix_bound, suffix_bound):
     """Number of distinct residuals L*u over prefixes |u| <= prefix_bound,
     where residuals are told apart on words |w| <= suffix_bound.
 
-    ``member`` is any membership predicate; with generous bounds this is the
-    brute-force side of the minimal-state-count equality.
+    uw is in L iff D_w(D_u) is nullable (Brzozowski), so the residual of u
+    is fixed by D_u and each distinct D_u is signed once, by nullability
+    along every suffix in shortlex order; each term is derived by each letter
+    once.  With generous bounds this is the brute-force side of the
+    minimal-state-count equality.
     """
-    suffixes = words_upto(alphabet, suffix_bound)
+    rows = {}  # term -> its derivative by each letter, in alphabet order
+
+    def layer_after(layer):
+        for term in set(layer) - rows.keys():
+            rows[term] = [_derive(term, ch) for ch in alphabet]
+        return [t for term in layer for t in rows[term]]
+
+    reached, layer = {tree}, {tree}
+    for _ in range(prefix_bound):
+        layer = set(layer_after(layer))
+        reached |= layer
     signatures = set()
-    for u in words_upto(alphabet, prefix_bound):
-        signatures.add(tuple(member(u + w) for w in suffixes))
+    for term in reached:
+        signature, layer = [term.nullable], [term]
+        for _ in range(suffix_bound):
+            layer = layer_after(layer)
+            signature += (t.nullable for t in layer)
+        signatures.add(tuple(signature))
     return len(signatures)
 
 

@@ -108,10 +108,10 @@ def test_conjugation_escape_reports_not_subpresheaf(d4, d4_lsc, named):
         validate_filter(d4_lsc, selection)
 
 
-def test_certificate_rejects_a_selection_not_closed_under_conjugation(d4, d4_lsc, named):
+def test_a_filter_not_closed_under_conjugation_is_refused_with_its_escape(d4, d4_lsc, named):
     q = subgroup_to_congruence(d4, named["<t>"])
     with pytest.raises(NotSubpresheaf) as err:
-        certify_quotient_classifier(InternalFilter(d4_lsc, {"*": {q}}))
+        InternalFilter(d4_lsc, {"*": {q}})
     escaped, f = err.value.witness
     assert escaped == q and d4_lsc.act(q, f) != q
 

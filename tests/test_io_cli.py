@@ -384,6 +384,18 @@ def test_cli_verify_with_good_fixture(tmp_path, capsys):
     assert "good.dfa" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("alphabet,frozen", [("abc", False), (["a", "b"], True)])
+def test_cli_verify_holds_frozen_regex_facts_to_their_alphabet(tmp_path, capsys,
+                                                               alphabet, frozen):
+    # over abc the letter c needs a sink: (a|b)*a has 3 states and a syntactic
+    # monoid of order 4 there, not the 2 and 3 frozen for it over ab
+    (tmp_path / "ends.regex").write_text(
+        json.dumps({"regex": "(a|b)*a", "alphabet": alphabet}))
+    assert main(["verify", "--suite", "words", "--fixtures", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("(a|b)*a: frozen minimal-state count 2") == 1 + frozen
+
+
 def test_cli_no_command_prints_help(capsys):
     assert main([]) == 2
 

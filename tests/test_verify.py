@@ -49,6 +49,23 @@ def test_suite_words_compiles_each_regex_once(monkeypatch):
     assert len(compiled) == len(set(compiled))
 
 
+def test_suite_words_derives_each_derivative_and_letter_once(monkeypatch):
+    # the word-enumeration residual oracle derives the frozen regexes through
+    # their derivative automata: 20 derivations, not one per word prefix
+    from toposlsc import words
+
+    calls = []
+    real = words._derive
+
+    def counting(term, ch):
+        calls.append(ch)
+        return real(term, ch)
+
+    monkeypatch.setattr(words, "_derive", counting)
+    assert run_suite("words").ok
+    assert 0 < len(calls) <= 100
+
+
 def test_suite_normalize_builds_each_site_once(monkeypatch):
     from toposlsc import verify
 

@@ -121,11 +121,7 @@ FROZEN_STATES = {"(ab)*": 3, "(a|b)*a": 2, "a*": 2, "#e": 2, "#0": 1}
 def test_min_dfa_state_counts(expr, states):
     d = regex_to_min_dfa(expr, "ab")
     assert d.n == states
-    tree = parse_regex(expr, "ab")
-    memo = {}
-    brute = residual_count_by_words(lambda w: regex_member(tree, w, memo),
-                                    ("a", "b"), 6, 7)
-    assert brute == states
+    assert residual_count_by_words(parse_regex(expr, "ab"), ("a", "b"), 6, 7) == states
 
 
 # --- membership by derivatives ---------------------------------------------------
@@ -177,6 +173,13 @@ def test_derivative_membership_agrees_with_the_dfa_and_the_structural_matcher(ca
 
 
 def test_derivatives_derive_each_prefix_once(monkeypatch):
+    tree = parse_regex("(ab)*", "ab")
+    derivatives, layer = {tree}, [tree]  # every D_u, closed under the letters
+    while layer:
+        layer = [t for t in {words._derive(t, ch) for t in layer for ch in "ab"}
+                 if t not in derivatives]
+        derivatives.update(layer)
+    assert len(derivatives) == 3  # (ab)*, b(ab)* and the empty language
     calls = []
     derive = words._derive
 
@@ -185,12 +188,51 @@ def test_derivatives_derive_each_prefix_once(monkeypatch):
         return derive(term, ch)
 
     monkeypatch.setattr(words, "_derive", counting)
-    tree = parse_regex("(ab)*", "ab")
+    for pipeline in ("_thompson", "regex_to_min_dfa", "minimize", "_refine",
+                     "residual_count_dfa"):
+        monkeypatch.setattr(words, pipeline, None)  # the oracle stays off them
+    # the residual oracle derives each (derivative, letter) once
+    assert residual_count_by_words(tree, ("a", "b"), 6, 7) == 3
+    assert len(calls) <= len(derivatives) * 2 == 6
+    # regex_member derives each prefix of the words it is asked once
+    calls.clear()
     memo = {}
-    assert residual_count_by_words(lambda w: regex_member(tree, w, memo), ("a", "b"), 6, 7) == 3
     prefixes = words_upto(("a", "b"), 13)
+    for w in prefixes:
+        regex_member(tree, w, memo)
     assert len(prefixes) == 16383 and set(memo) == set(prefixes)
     assert len(calls) <= len(prefixes)
+
+
+def _residual_count_word_by_word(tree, alphabet, prefix_bound, suffix_bound):
+    """The definition the residual oracle computes: every prefix u signed by
+    membership of uw, word by word, for every suffix w."""
+    memo, suffixes = {}, words_upto(alphabet, suffix_bound)
+    return len({tuple(regex_member(tree, u + w, memo) for w in suffixes)
+                for u in words_upto(alphabet, prefix_bound)})
+
+
+@pytest.mark.parametrize("expr,alphabet", fixtures.BUNDLED_REGEXES)
+def test_residual_oracle_agrees_with_the_word_by_word_definition(expr, alphabet):
+    tree, letters = parse_regex(expr, alphabet), tuple(alphabet)
+    bounds = [(0, 0), (0, 3), (2, 0), (1, 2), (3, 1)]
+    bounds += [(4, 5), (5, 4)] if len(letters) == 2 else [(3, 3), (4, 2)]
+    for prefix_bound, suffix_bound in bounds:
+        assert residual_count_by_words(tree, letters, prefix_bound, suffix_bound) \
+            == _residual_count_word_by_word(tree, letters, prefix_bound, suffix_bound), \
+            (expr, prefix_bound, suffix_bound)
+    n = regex_to_min_dfa(tree, alphabet).n
+    assert residual_count_by_words(tree, letters, 2 * n, 2 * n + 1) == n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alphabet: st.tuples(st.just(alphabet), _regex_trees(alphabet),
+                               st.integers(0, 3), st.integers(0, 3))))
+def test_residual_oracle_agrees_with_the_word_by_word_definition_on_random_trees(case):
+    alphabet, tree, prefix_bound, suffix_bound = case
+    assert residual_count_by_words(tree, alphabet, prefix_bound, suffix_bound) \
+        == _residual_count_word_by_word(tree, alphabet, prefix_bound, suffix_bound)
 
 
 def _size(node):
