@@ -200,6 +200,10 @@ class Presheaf:
 
     def check_functorial(self):
         site = self.site
+        for c, xs in self.carrier.items():
+            if len(set(xs)) != len(xs):
+                x = next(x for i, x in enumerate(xs) if x in xs[:i])
+                raise FunctorialityViolation(f"X({c!r}) lists {x!r} twice")
         for name, s, d in site.morphisms:
             table = self.action[name]
             if set(table) != set(self.carrier[d]):
@@ -512,37 +516,55 @@ def enumerate_quotient_objects(cat, c, cap=DEFAULT_BUDGET):
     Every right congruence is the join of the principal congruences
     theta(u, v) of the pairs it relates, so Xi(c) is the closure of the
     discrete congruence under joins with the principals.  theta(u, v) is the
-    equivalence closure of the pairs (u*g, v*g), which are already closed
-    under right composition, and a join needs no re-closure either: each
-    principal is computed once and the search only joins partitions.
+    equivalence closure of the pairs (u*g, v*g), so theta(u*g, v*g) =
+    theta(u, v) for g in Aut(a), as (u, v) = (u*g*g^-1, v*g*g^-1): one pair
+    per Aut(a)-orbit is enough.  A join needs no re-closure.  The search is
+    Close-by-One (Kuznetsov 1993): from (q, start) it joins q with each
+    principal p_k, k >= start, not below q, and keeps the join only if every
+    p_j, j < k, below it is below q.  So an element r is made once, from the
+    join of the p_j <= r with j < k, for the least k whose p_j <= r with
+    j <= k join to r; no set of those seen is needed.  p_j <= q reads one
+    pair: theta(u, v) is the least congruence relating u and v.
     """
     elems = cat.morphisms_into(c)
     if len(elems) > cap:
         raise BudgetExceeded(len(elems), cap)
-    # row[u] lists the positions of u*g in y(c) for every g into src(u)
-    pos, comp = cat.into_index, cat.composition
-    row = {u: [pos[comp[(u, g)]] for g in cat.morphisms_into(cat.src[u])] for u in elems}
-    principals = dict.fromkeys(
-        RepCongruence._from_keys(cat, c, _union_find(len(elems), zip(row[u], row[v])))
-        for a in cat.objects
-        for hom in [cat.hom(a, c)]
-        for i, u in enumerate(hom) for v in hom[i + 1:])
-    discrete = RepCongruence.discrete(cat, c)
-    seen = {discrete}
-    queue = [discrete]
-    while queue:
-        q = queue.pop()
-        for p in principals:
-            if p.leq(q):
+    pairs, links = _principals(cat, c)
+    found = [RepCongruence.discrete(cat, c)]
+    stack = [(found[0].labels, 0)]
+    while stack:
+        lab, start = stack.pop()
+        for k in range(start, len(pairs)):
+            if lab[pairs[k][0]] == lab[pairs[k][1]]:
                 continue
-            q2 = q.join(p)
-            if q2 not in seen:
-                seen.add(q2)
-                queue.append(q2)
-                if len(seen) > cap:
-                    raise BudgetExceeded(len(seen), cap,
-                                         what=f"quotient objects of y({c!r})")
-    return tuple(sorted(seen, key=RepCongruence.sort_key))
+            roots = _union_find(max(lab) + 1, [(lab[i], lab[j]) for i, j in links[k]])
+            if any(lab[u] != lab[v] and roots[lab[u]] == roots[lab[v]] for u, v in pairs[:k]):
+                continue
+            found.append(RepCongruence._from_keys(cat, c, [roots[b] for b in lab]))
+            if len(found) > cap:
+                raise BudgetExceeded(len(found), cap, what=f"quotient objects of y({c!r})")
+            stack.append((found[-1].labels, k + 1))
+    return tuple(sorted(found, key=RepCongruence.sort_key))
+
+
+def _principals(cat, c):
+    """Each distinct theta(u, v), u, v in one Hom(a, c), in first-seen order, as its
+    pair (pos u, pos v) and the links of a spanning forest of its blocks."""
+    pos, comp, into = cat.into_index, cat.composition, cat.morphisms_into(c)
+    # row[u] lists the positions of u*g in y(c) for every g into src(u)
+    row = {u: [pos[comp[(u, g)]] for g in cat.morphisms_into(cat.src[u])] for u in into}
+    principals = {}
+    for a in cat.objects:
+        hom, end, done = cat.hom(a, c), cat.hom(a, a), set()
+        aut = [g for g in end if any(comp[(g, h)] == cat.identities[a] for h in end)]
+        for i, u in enumerate(hom):
+            for v in hom[i + 1:]:
+                if frozenset((u, v)) not in done:
+                    done.update(frozenset((comp[(u, g)], comp[(v, g)])) for g in aut)
+                    roots = _union_find(len(row), zip(row[u], row[v]))
+                    principals.setdefault(RepCongruence._from_keys(cat, c, roots), (
+                        (pos[u], pos[v]), [(r, j) for j, r in enumerate(roots) if r != j]))
+    return [pair for pair, _ in principals.values()], [ln for _, ln in principals.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,8 @@ def load_presheaf(cat, source):
     bad_morphisms = [m for m in data["actions"] if m not in cat.src]
     problems = [f"unknown object {c!r} in sets" for c in bad_objects]
     problems += [f"unknown morphism {m!r} in actions" for m in bad_morphisms]
+    problems += [f"duplicate elements in sets of {c!r}" for c, xs in data["sets"].items()
+                 if len(set(xs)) != len(xs)]
     if problems:
         raise InputFormatError("malformed presheaf file: " + "; ".join(problems),
                                details=problems)

@@ -214,6 +214,8 @@ def test_d4_seed_s2_generates_five(d4, d4_lsc, named):
 def all_filters(L):
     """Every selection, subsets enumerated per object, that validates."""
     objects = L.site.objects
+    # a congruence listed twice would double the subsets below it
+    assert all(len(set(L.elements(c))) == len(L.elements(c)) for c in objects)
     per_object = [[frozenset(sub) for k in range(len(L.elements(c)) + 1)
                    for sub in itertools.combinations(L.elements(c), k)]
                   for c in objects]

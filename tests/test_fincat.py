@@ -4,11 +4,12 @@ from collections import Counter
 
 import pytest
 
-from toposlsc import fixtures, io
+from toposlsc import fincat, fixtures, io
 from toposlsc.errors import (
     AssociativityViolation,
     BudgetExceeded,
     ElementNotInCarrier,
+    FunctorialityViolation,
     IdentityViolation,
     IllTypedComposite,
     NaturalityViolation,
@@ -307,6 +308,81 @@ def test_relation_operations_match_the_input_blocks(site):
                                    for v in site.morphisms_into(site.src[f])
                                    if (site.compose(f, u), site.compose(f, v)) in r)
                 assert q.precompose(f) == by_relation[site.src[f]][pulled]
+
+
+def principal_labels(site, c, u, v):
+    """theta(u, v) as labels: blocks merged along (u*g, v*g) for every g into
+    src(u), then numbered by first occurrence in y(c)."""
+    into, comp = site.morphisms_into(c), site.composition
+    block = {w: {w} for w in into}
+    for g in site.morphisms_into(site.src[u]):
+        x, y = block[comp[(u, g)]], block[comp[(v, g)]]
+        if x is not y:
+            for w in y:
+                x.add(w)
+                block[w] = x
+    ids = {}
+    return tuple(ids.setdefault(id(block[w]), len(ids)) for w in into)
+
+
+def all_pairs_principals(site, c):
+    """theta(u, v) for every pair u, v of each Hom(a, c), first-seen order."""
+    return list(dict.fromkeys(principal_labels(site, c, u, v)
+                              for a in site.objects for hom in [site.hom(a, c)]
+                              for i, u in enumerate(hom) for v in hom[i + 1:]))
+
+
+PRINCIPAL_SITES = [("T3-then", full_transformation_monoid(then=True), "*"),
+                   ("T3-after", full_transformation_monoid(then=False), "*"),
+                   ("S4", fixtures.symmetric_4().site(), "*"),
+                   ("D4", fixtures.dihedral_4().site(), "*"),
+                   ("S5", fixtures.symmetric_group(5).site(), "*")] + \
+                  [("graph", fixtures.graph_site(), c) for c in ("V", "E")]
+
+
+@pytest.mark.parametrize("site, c", [(site, c) for _, site, c in PRINCIPAL_SITES],
+                         ids=[f"{name}-{c}" for name, _, c in PRINCIPAL_SITES])
+def test_principals_up_to_automorphisms_keep_the_all_pairs_order(site, c):
+    pairs, links = fincat._principals(site, c)
+    into = site.morphisms_into(c)
+    spanned = [fincat.RepCongruence._from_keys(site, c, fincat._union_find(len(into), ln))
+               for ln in links]
+    assert [p.labels for p in spanned] == all_pairs_principals(site, c)
+    for (i, j), ln, p in zip(pairs, links, spanned):
+        # the kept pair lies in one Hom(a, c) and generates the partition its
+        # links span, with one link fewer than each block's size
+        assert i < j and site.src[into[i]] == site.src[into[j]]
+        assert principal_labels(site, c, into[i], into[j]) == p.labels
+        assert len(ln) == len(into) - p.block_count()
+
+
+@pytest.mark.parametrize("site, union_finds, count", [
+    (fixtures.symmetric_group(5).site(), 72, 66),      # 7140 pairs, an orbit per {x, x^-1}
+    (full_transformation_monoid(then=True), 65, 44),  # 351 pairs, Aut = S3
+], ids=["S5", "T3-then"])
+def test_principals_take_one_union_find_per_automorphism_orbit(site, union_finds, count,
+                                                                monkeypatch):
+    calls = []
+    union_find = fincat._union_find
+
+    def counted(n, links):
+        calls.append(n)
+        return union_find(n, links)
+
+    monkeypatch.setattr(fincat, "_union_find", counted)
+    assert len(fincat._principals(site, "*")[0]) == count
+    assert len(calls) == union_finds
+
+
+@pytest.mark.parametrize("site, count", [
+    (fixtures.symmetric_4().site(), 30), (fixtures.symmetric_group(5).site(), 156),
+    (full_transformation_monoid(then=True), 287), (full_transformation_monoid(then=False), 120),
+    (fixtures.dihedral_4().site(), 10),
+], ids=["S4", "S5", "T3-then", "T3-after", "D4"])
+def test_each_quotient_object_is_made_once(site, count):
+    # with the cap at |Xi|, a single element made twice exceeds it
+    qs = enumerate_quotient_objects(site, "*", cap=count)
+    assert len(set(qs)) == len(qs) == count
 
 
 def test_enumeration_counts():
@@ -611,3 +687,9 @@ def test_functoriality_check_rejects_bad_action(idem):
         Presheaf(idem, {"*": ("a", "b")},
                  {"1": {"a": "b", "b": "a"},  # identity must not move elements
                   "x": {"a": "a", "b": "a"}})
+
+
+def test_a_carrier_listing_an_element_twice_is_rejected():
+    z2 = fixtures.cyclic_group(2).site()
+    with pytest.raises(FunctorialityViolation, match=r"X\('\*'\) lists 'x' twice"):
+        Presheaf(z2, {"*": ["x", "x"]}, {m: {"x": "x"} for m, _, _ in z2.morphisms})

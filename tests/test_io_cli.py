@@ -111,6 +111,14 @@ def test_presheaf_load(tmp_path):
         io.load_presheaf(site, data)
 
 
+def test_presheaf_listing_an_element_twice_is_rejected():
+    site = fixtures.cyclic_group(2).site()
+    data = {"sets": {"*": ["x", "x"]},
+            "actions": {m: {"x": "x"} for m, _, _ in site.morphisms}}
+    with pytest.raises(InputFormatError, match="duplicate elements in sets of '\\*'"):
+        io.load_presheaf(site, data)
+
+
 def test_filter_selection_load():
     L = build_lsc(fixtures.graph_site())
     selection = io.load_filter_selection(L, {"E": [0, 1], "V": [0]})
