@@ -14,7 +14,7 @@ from .errors import BudgetExceeded, InputFormatError, ToposError
 from .fincat import DEFAULT_BUDGET
 from . import io, reports
 from .lsc import build_lsc
-from .verify import run_suite
+from .verify import SUITES, run_suite
 from .words import regex_to_min_dfa
 
 BUDGET_ENV = "TOPOS_LSC_BUDGET"
@@ -54,14 +54,10 @@ def _build_parser():
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the invariant suites")
     p_verify.add_argument("--suite", default="all",
-                          choices=("all", "lsc", "normalize", "filters", "words"))
+                          choices=("all", *SUITES))
     p_verify.add_argument("--fixtures", default=None,
                           help="directory of extra fixture files")
     return parser
-
-
-def _format(args):
-    return getattr(args, "format", "human")
 
 
 def _budget(args):
@@ -84,46 +80,30 @@ def _budget(args):
     return budget
 
 
-def _cmd_lsc(args, out):
-    cat = io.load_category(args.category_file)
-    L = build_lsc(cat, _budget(args))
-    report = reports.lsc_report(L)
-    out.write(reports.render(report, _format(args)))
-    return 0 if all(v["pass"] for v in report["verdicts"]) else 1
-
-
-def _cmd_group(args, out):
-    G = io.load_group(args.group_file)
-    L = build_lsc(G.site(), _budget(args))
-    report = reports.group_report(G, L)
-    out.write(reports.render(report, _format(args)))
-    return 0 if all(v["pass"] for v in report["verdicts"]) else 1
-
-
-def _cmd_words(args, out):
-    if args.regex is not None:
-        if not args.alphabet:
-            raise InputFormatError("--regex requires --alphabet")
-        d = regex_to_min_dfa(args.regex, args.alphabet)
-        source = {"regex": args.regex, "alphabet": args.alphabet}
-    else:
+def _report(args):
+    """The report of the parsed command, verdicts included."""
+    if args.command == "verify":
+        cert = run_suite(args.suite, _budget(args), args.fixtures)
+        return reports.make_report(f"verify-{args.suite}", {"checks": len(cert.checks)},
+                                   [cert])
+    if args.command == "words":
+        if args.regex is not None:
+            if not args.alphabet:
+                raise InputFormatError("--regex requires --alphabet")
+            d = regex_to_min_dfa(args.regex, args.alphabet)
+            return reports.words_report(d, source={"regex": args.regex,
+                                                   "alphabet": args.alphabet})
         d = io.load_dfa(args.dfa)
         if args.alphabet and tuple(args.alphabet) != d.alphabet:
             raise InputFormatError(
                 f"--alphabet {args.alphabet!r} does not match the DFA file's "
                 f"alphabet {''.join(d.alphabet)!r}")
-        source = {"dfa": args.dfa}
-    report = reports.words_report(d, source=source)
-    out.write(reports.render(report, _format(args)))
-    return 0 if all(v["pass"] for v in report["verdicts"]) else 1
-
-
-def _cmd_verify(args, out):
-    cert = run_suite(args.suite, _budget(args), args.fixtures)
-    report = reports.make_report(f"verify-{args.suite}", {"checks": len(cert.checks)},
-                                 [cert])
-    out.write(reports.render(report, _format(args)))
-    return 0 if cert.ok else 1
+        return reports.words_report(d, source={"dfa": args.dfa})
+    if args.command == "group":
+        G = io.load_group(args.group_file)
+        return reports.group_report(G, build_lsc(G.site(), _budget(args)))
+    cat = io.load_category(args.category_file)
+    return reports.lsc_report(build_lsc(cat, _budget(args)))
 
 
 def main(argv=None):
@@ -132,10 +112,10 @@ def main(argv=None):
     if args.command is None:
         parser.print_help()
         return 2
-    handlers = {"lsc": _cmd_lsc, "group": _cmd_group,
-                "words": _cmd_words, "verify": _cmd_verify}
     try:
-        return handlers[args.command](args, sys.stdout)
+        report = _report(args)
+        sys.stdout.write(reports.render(report, getattr(args, "format", "human")))
+        return 0 if all(v["pass"] for v in report["verdicts"]) else 1
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

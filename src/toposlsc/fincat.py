@@ -398,22 +398,6 @@ class RepCongruence:
         return RepCongruence._from_keys(self.site, self.base_object,
                                         zip(self.labels, other.labels))
 
-    def join(self, other):
-        """Least common coarsening: the equivalence closure of the union.
-
-        It is right-compatible with no further closure, since a chain
-        u ~ w ~ ... ~ v of related arrows stays a chain after composing each
-        link with g on the right; so the join of two congruences in Xi(c)
-        is the plain partition join, their least upper bound under ``leq``.
-        """
-        self._same_object(other, "join of")
-        # union-find over self's blocks, linking those that meet one block of other
-        first = {}
-        roots = _union_find(self.block_count(), [(a, first.setdefault(b, a))
-                                                 for a, b in zip(self.labels, other.labels)])
-        return RepCongruence._from_keys(self.site, self.base_object,
-                                        [roots[a] for a in self.labels])
-
     def leq(self, other):
         """Relation inclusion: self is a refinement of other."""
         self._same_object(other, "comparing")
@@ -518,7 +502,8 @@ def enumerate_quotient_objects(cat, c, cap=DEFAULT_BUDGET):
     discrete congruence under joins with the principals.  theta(u, v) is the
     equivalence closure of the pairs (u*g, v*g), so theta(u*g, v*g) =
     theta(u, v) for g in Aut(a), as (u, v) = (u*g*g^-1, v*g*g^-1): one pair
-    per Aut(a)-orbit is enough.  A join needs no re-closure.  The search is
+    per Aut(a)-orbit is enough.  A join needs no re-closure (a chain of
+    related arrows composed with g on the right is a chain).  The search is
     Close-by-One (Kuznetsov 1993): from (q, start) it joins q with each
     principal p_k, k >= start, not below q, and keeps the join only if every
     p_j, j < k, below it is below q.  So an element r is made once, from the

@@ -113,8 +113,15 @@ def load_presheaf(cat, source):
     bad_morphisms = [m for m in data["actions"] if m not in cat.src]
     problems = [f"unknown object {c!r} in sets" for c in bad_objects]
     problems += [f"unknown morphism {m!r} in actions" for m in bad_morphisms]
-    problems += [f"duplicate elements in sets of {c!r}" for c, xs in data["sets"].items()
-                 if len(set(xs)) != len(xs)]
+    # JSON lists and objects are unhashable, so they can name no element
+    for c, xs in data["sets"].items():
+        if any(isinstance(x, (list, dict)) for x in xs):
+            problems.append(f"a list or object among the sets of {c!r}")
+        elif len(set(xs)) != len(xs):
+            problems.append(f"duplicate elements in sets of {c!r}")
+    problems += [f"a list or object among the images of {m!r}"
+                 for m, table in data["actions"].items()
+                 if any(isinstance(x, (list, dict)) for x in table.values())]
     if problems:
         raise InputFormatError("malformed presheaf file: " + "; ".join(problems),
                                details=problems)

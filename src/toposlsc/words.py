@@ -1086,17 +1086,10 @@ def find_pointed_isomorphism(a, b):
     """Backtracking search for a pointed isomorphism between two transition
     systems, independent of canonical numbering.
 
-    Inputs are RightCongruence values or (delta_rows, initial) pairs over the
-    same alphabet size.  Returns the state mapping or None.
+    Inputs are (delta_rows, initial) pairs over the same alphabet size.
+    Returns the state mapping or None.
     """
-    def unpack(x):
-        if isinstance(x, RightCongruence):
-            return x.delta, 0
-        rows, initial = x
-        return [tuple(r) for r in rows], initial
-
-    da, ia = unpack(a)
-    db, ib = unpack(b)
+    (da, ia), (db, ib) = a, b
     if len(da) != len(db) or (da and db and len(da[0]) != len(db[0])):
         return None
     k = len(da[0]) if da else 0

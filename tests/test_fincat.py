@@ -15,7 +15,6 @@ from toposlsc.errors import (
     NaturalityViolation,
     NonRepresentableSource,
     NotParallel,
-    ObjectMismatch,
     UnknownObject,
 )
 from toposlsc.fincat import (
@@ -267,15 +266,6 @@ def _pairs(blocks):
     return frozenset((u, v) for bs in blocks.values() for b in bs for u in b for v in b)
 
 
-def _transitive_closure(pairs):
-    closed = set(pairs)
-    while True:
-        step = {(u, w) for u, v in closed for v2, w in closed if v == v2} - closed
-        if not step:
-            return frozenset(closed)
-        closed |= step
-
-
 # m1 * m2 = m2 and m2 * m1 = m1: the order-3 monoid with the most congruences (5)
 MONOID3_ELEMENTS, MONOID3_MULT = fixtures.all_monoids(3)[5]
 ORACLE_SITES = [("graph", fixtures.graph_site()), ("chain3", fixtures.chain_site(3)),
@@ -302,7 +292,6 @@ def test_relation_operations_match_the_input_blocks(site):
                 r2 = _pairs(blocks2)
                 assert q.meet(q2) == by_relation[c][r & r2]
                 assert q.leq(q2) == (r <= r2)
-                assert q.join(q2) == by_relation[c][_transitive_closure(r | r2)]
             for f in site.morphisms_into(c):
                 pulled = frozenset((u, v) for u in site.morphisms_into(site.src[f])
                                    for v in site.morphisms_into(site.src[f])
@@ -449,25 +438,6 @@ def test_full_transformation_monoid_lsc_report_is_pinned():
     text = render(lsc_report(L), "machine")
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "2f4adcae861af7984e3751d04a3f205c01fcfb51da566edfbef6891419dca925"
-
-
-@pytest.mark.parametrize("site", [fixtures.graph_site(), fixtures.chain_site(3),
-                                  fixtures.idempotent_monoid_site(),
-                                  fixtures.dihedral_4().site()],
-                         ids=["graph", "chain3", "idempotent", "D4"])
-def test_join_is_the_least_upper_bound_in_xi(site):
-    for c in site.objects:
-        qs = enumerate_quotient_objects(site, c)
-        for q1, q2 in itertools.product(qs, repeat=2):
-            j = q1.join(q2)
-            assert j in qs
-            assert q1.leq(j) and q2.leq(j)
-            assert all(j.leq(r) for r in qs if q1.leq(r) and q2.leq(r))
-
-
-def test_join_across_objects_is_an_object_mismatch(graph):
-    with pytest.raises(ObjectMismatch):
-        RepCongruence.discrete(graph, "E").join(RepCongruence.discrete(graph, "V"))
 
 
 def test_enumeration_is_deterministic(graph):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toposlsc import cli, fixtures, io
+from toposlsc import cli, fixtures, io, reports
+from toposlsc.certificates import Certificate
 from toposlsc.cli import main
 from toposlsc.errors import InputFormatError, UnknownObject
 from toposlsc.fincat import FiniteCategory
@@ -116,6 +117,19 @@ def test_presheaf_listing_an_element_twice_is_rejected():
     data = {"sets": {"*": ["x", "x"]},
             "actions": {m: {"x": "x"} for m, _, _ in site.morphisms}}
     with pytest.raises(InputFormatError, match="duplicate elements in sets of '\\*'"):
+        io.load_presheaf(site, data)
+
+
+@pytest.mark.parametrize("sets, action, named", [
+    ({"*": [[1]]}, {}, "sets of '\\*'"),
+    ({"*": ["x"]}, {"x": {}}, "images of '1'"),
+], ids=["list-among-sets", "object-as-image"])
+def test_presheaf_with_an_unhashable_entry_is_rejected(sets, action, named):
+    # a JSON list or object can name no element, so loading reports it
+    # against its object or morphism rather than failing on hashing
+    site = fixtures.cyclic_group(2).site()
+    data = {"sets": sets, "actions": {"1": action}}
+    with pytest.raises(InputFormatError, match=named):
         io.load_presheaf(site, data)
 
 
@@ -514,14 +528,46 @@ def test_cli_machine_report_on_a_1500_letter_chain_is_pinned(capsys, alphabet):
 
 def test_cli_internal_error_exits_4_without_traceback(capsys, monkeypatch):
     # exit 1 means a failed verdict and nothing else, so a defect gets its own code
-    def broken(args, out):
+    def broken(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "_cmd_words", broken)
+    monkeypatch.setattr(cli, "regex_to_min_dfa", broken)
     assert main(["words", "--regex", "a", "--alphabet", "a"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: boom\n"
+
+
+EXIT_RULE_ARGV = {"lsc": ["lsc", "demos/data/graph.cat"],
+                  "group": ["group", "demos/data/s3.group"],
+                  "words": ["words", "--dfa", "demos/data/ends_in_a.dfa"],
+                  "verify": ["verify", "--suite", "lsc"]}
+
+
+@pytest.mark.parametrize("command", sorted(EXIT_RULE_ARGV))
+def test_cli_one_failing_verdict_prints_the_report_and_exits_1(capsys, monkeypatch, command):
+    # every command has the one exit rule: 1 exactly when a verdict failed
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("TOPOS_LSC_BUDGET", raising=False)
+    failing = {"check": "forced", "pass": False, "witness": "w"}
+    if command == "verify":
+        cert = Certificate("lsc")
+        cert.record("forced", False, "w")
+        monkeypatch.setattr(cli, "run_suite", lambda *args: cert)
+    else:
+        build = getattr(reports, f"{command}_report")
+
+        def with_a_failure(*args, **kwargs):
+            report = build(*args, **kwargs)
+            report["verdicts"].append(failing)
+            return report
+
+        monkeypatch.setattr(reports, f"{command}_report", with_a_failure)
+    assert main(["--format", "machine", *EXIT_RULE_ARGV[command]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    verdicts = json.loads(captured.out)["verdicts"]
+    assert [v for v in verdicts if not v["pass"]] == [failing]
 
 
 # --- the exit-code contract under fuzzed argv and files ----------------------------

@@ -17,7 +17,7 @@ from toposlsc.errors import (
     SymbolOutsideAlphabet,
     UnknownState,
 )
-from toposlsc import fixtures, reports, words
+from toposlsc import fixtures, io, reports, words
 from toposlsc.reports import words_report
 from toposlsc.words import (
     MAX_GROUP_DEPTH,
@@ -519,6 +519,18 @@ def test_words_report_minimizes_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_words_verdicts_fail_when_minimize_merges_nerode_classes(monkeypatch):
+    # the Nerode index is read off the input DFA, not off minimize's output,
+    # so a minimize that collapses every DFA to one state cannot agree with itself
+    d = io.load_dfa(ROOT / "demos" / "data" / "ends_in_a.dfa")
+    assert d.n == 2
+    monkeypatch.setattr(reports, "minimize",
+                        lambda d: Dfa(d.alphabet, 1, 0, {0}, [[0] * len(d.alphabet)]))
+    verdicts = {c.name: c.passed for c in reports.words_analysis(d)[-1].checks}
+    assert not verdicts["nerode-index-equals-minimal-states"]
+    assert not verdicts["residual-oracle-agreement"]
+
+
 def test_words_report_classifies_states_once(monkeypatch):
     # 300 states with a 300-element monoid: one RightCongruence per congruence
     # the report names (Nerode, syntactic, orbit meet, normalization image),
@@ -756,7 +768,7 @@ def test_canonicalization_agrees_with_backtracking_iso_search():
         assert a == b
         other_rows = [[rng.randrange(n) for _ in "ab"] for _ in range(n)]
         c = RightCongruence("ab", other_rows, init)
-        assert (a == c) == (find_pointed_isomorphism(a, c) is not None)
+        assert (a == c) == (find_pointed_isomorphism((a.delta, 0), (c.delta, 0)) is not None)
 
 
 def test_witnesses_are_shortlex():
