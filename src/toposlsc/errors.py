@@ -92,7 +92,7 @@ class NotASubgroup(ToposError):
 class NotACongruenceOfSubgroupForm(ToposError):
     """The identity block of a congruence on a group site is not a subgroup.
 
-    Unreachable through the public constructors; raised only on corrupted data.
+    No element of Xi is such a partition, but `RepCongruence.from_labels` can build one.
     """
 
 

@@ -76,6 +76,9 @@ class FiniteCategory:
         # arrow -> its position in morphisms_into(dst): RepCongruence's index
         self.into_index = {u: i for into in self._into.values() for i, u in enumerate(into)}
         self.validate()
+        # f: a -> d -> the positions in y(d) of f*u for u in y(a), in y(a)'s order
+        self.after = {f: tuple(self.into_index[self.composition[(f, u)]] for u in self._into[a])
+                      for f, a, _ in self.morphisms}
 
     # -- structure access ------------------------------------------------
 
@@ -287,7 +290,9 @@ class PresheafMorphism:
 
 
 class RepCongruence:
-    """A right-compatible partition of a representable y(c).
+    """A partition of a representable y(c) that respects objects: each block
+    lies in one Hom(a, c).  Xi(c) holds the right-compatible ones, those where
+    u ~ v implies u*g ~ v*g.
 
     Stored as one tuple ``labels``: ``labels[i]`` is the block of the i-th
     arrow of ``site.morphisms_into(c)``, blocks numbered by first occurrence.
@@ -299,30 +304,17 @@ class RepCongruence:
 
     __slots__ = ("site", "base_object", "labels", "_hash")
 
-    def __init__(self, site, base_object, blocks):
-        into = site.morphisms_into(base_object)
-        given = (b for c in site.objects for b in blocks.get(c, ()))
-        block_of = {u: k for k, b in enumerate(given) for u in b}
-        if block_of.keys() != set(into):
-            raise UnknownMorphism(
-                f"partition does not cover y({base_object!r}) exactly")
-        self._set(site, base_object, ((site.src[u], block_of[u]) for u in into))
-
-    def _set(self, site, base_object, keys):
-        """Number the keys, one per arrow into base_object, by first occurrence."""
-        ids = {}
-        self.site = site
-        self.base_object = base_object
-        self.labels = tuple(ids.setdefault(k, len(ids)) for k in keys)
-        self._hash = hash((base_object, self.labels))
+    # -- constructors --------------------------------------------------------
 
     @classmethod
     def _from_keys(cls, site, c, keys):
+        """Number ``keys`` (one per arrow into c, differing across objects) by first occurrence."""
+        ids = {}
         q = cls.__new__(cls)
-        q._set(site, c, keys)
+        q.site, q.base_object = site, c
+        q.labels = tuple(ids.setdefault(k, len(ids)) for k in keys)
+        q._hash = hash((c, q.labels))
         return q
-
-    # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_labels(cls, site, c, label):
@@ -387,10 +379,8 @@ class RepCongruence:
         if site.dst[f] != self.base_object:
             raise ObjectMismatch(
                 f"{f!r} does not land in {self.base_object!r}")
-        comp, pos, labels = site.composition, site.into_index, self.labels
-        return RepCongruence._from_keys(
-            site, site.src[f],
-            [labels[pos[comp[(f, u)]]] for u in site.morphisms_into(site.src[f])])
+        return RepCongruence._from_keys(site, site.src[f],
+                                        map(self.labels.__getitem__, site.after[f]))
 
     def meet(self, other):
         """Common refinement (intersection of the relations)."""
@@ -535,18 +525,17 @@ def enumerate_quotient_objects(cat, c, cap=DEFAULT_BUDGET):
 def _principals(cat, c):
     """Each distinct theta(u, v), u, v in one Hom(a, c), in first-seen order, as its
     pair (pos u, pos v) and the links of a spanning forest of its blocks."""
-    pos, comp, into = cat.into_index, cat.composition, cat.morphisms_into(c)
-    # row[u] lists the positions of u*g in y(c) for every g into src(u)
-    row = {u: [pos[comp[(u, g)]] for g in cat.morphisms_into(cat.src[u])] for u in into}
+    pos, after, n = cat.into_index, cat.after, len(cat.morphisms_into(c))
     principals = {}
     for a in cat.objects:
-        hom, end, done = cat.hom(a, c), cat.hom(a, a), set()
-        aut = [g for g in end if any(comp[(g, h)] == cat.identities[a] for h in end)]
+        hom, done = cat.hom(a, c), set()
+        # positions in y(a) of the g: a -> a with g*h = id_a for some h
+        aut = [pos[g] for g in cat.hom(a, a) if pos[cat.identities[a]] in after[g]]
         for i, u in enumerate(hom):
             for v in hom[i + 1:]:
-                if frozenset((u, v)) not in done:
-                    done.update(frozenset((comp[(u, g)], comp[(v, g)])) for g in aut)
-                    roots = _union_find(len(row), zip(row[u], row[v]))
+                if frozenset((pos[u], pos[v])) not in done:
+                    done.update(frozenset((after[u][g], after[v][g])) for g in aut)
+                    roots = _union_find(n, zip(after[u], after[v]))
                     principals.setdefault(RepCongruence._from_keys(cat, c, roots), (
                         (pos[u], pos[v]), [(r, j) for j, r in enumerate(roots) if r != j]))
     return [pair for pair, _ in principals.values()], [ln for _, ln in principals.values()]

@@ -33,7 +33,7 @@ def _as_data(source, what):
 
 
 _JSON_TYPE_NAMES = {list: "a list", dict: "an object", str: "a string"}
-_NAME = (str, int)  # JSON values usable as names of DFA states and symbols
+_NAME = (str, int)  # JSON values usable as names of DFA states
 
 
 def _check_fields(data, what, required, optional=(), types=None):
@@ -113,15 +113,15 @@ def load_presheaf(cat, source):
     bad_morphisms = [m for m in data["actions"] if m not in cat.src]
     problems = [f"unknown object {c!r} in sets" for c in bad_objects]
     problems += [f"unknown morphism {m!r} in actions" for m in bad_morphisms]
-    # JSON lists and objects are unhashable, so they can name no element
+    # an action names elements by JSON object keys, so every element is a string
     for c, xs in data["sets"].items():
-        if any(isinstance(x, (list, dict)) for x in xs):
-            problems.append(f"a list or object among the sets of {c!r}")
+        if not all(isinstance(x, str) for x in xs):
+            problems.append(f"a non-string among the sets of {c!r}")
         elif len(set(xs)) != len(xs):
             problems.append(f"duplicate elements in sets of {c!r}")
-    problems += [f"a list or object among the images of {m!r}"
+    problems += [f"a non-string among the images of {m!r}"
                  for m, table in data["actions"].items()
-                 if any(isinstance(x, (list, dict)) for x in table.values())]
+                 if not all(isinstance(x, str) for x in table.values())]
     if problems:
         raise InputFormatError("malformed presheaf file: " + "; ".join(problems),
                                details=problems)
@@ -167,10 +167,13 @@ def load_dfa(source):
                   types={"alphabet": (str, list), "states": list, "accepting": list,
                          "transitions": list})
     states = data["states"]
-    names = [*states, *data["accepting"], data["initial"], *data["alphabet"]]
+    names = [*states, *data["accepting"], data["initial"]]
     # a JSON boolean is no state name, though isinstance(True, int) holds
     if not all(type(x) in _NAME for x in names):
-        raise InputFormatError("dfa states and symbols must be strings or integers")
+        raise InputFormatError("dfa states must be strings or integers")
+    for x in data["alphabet"]:
+        if not (isinstance(x, str) and len(x) == 1):
+            raise InputFormatError(f"dfa symbol {x!r} is not a one-character string")
     if len(set(states)) != len(states):
         raise InputFormatError("duplicate state names")
     alphabet = tuple(data["alphabet"])

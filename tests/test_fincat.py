@@ -67,7 +67,8 @@ def brute_partitions(cat, c):
     per_object = [list(set_partitions(cat.hom(a, c))) for a in cat.objects]
     for combo in itertools.product(*per_object):
         blocks = dict(zip(cat.objects, combo))
-        q = RepCongruence(cat, c, blocks)
+        block_of = {u: k for part in combo for k, b in enumerate(part) for u in b}
+        q = RepCongruence.from_labels(cat, c, block_of.__getitem__)
         if right_compatible(q):
             yield blocks, q
 
@@ -462,8 +463,9 @@ def test_disconnected_site_has_empty_hom_sets():
 # --- canonical forms --------------------------------------------------------------------
 
 def test_congruence_equality_iff_same_canonical_form(idem):
-    q1 = RepCongruence(idem, "*", {"*": [["x", "1"]]})
-    q2 = RepCongruence(idem, "*", {"*": [["1", "x"]]})
+    # one block, labelled two ways
+    q1 = RepCongruence.from_labels(idem, "*", {"x": "k", "1": "k"}.__getitem__)
+    q2 = RepCongruence.from_labels(idem, "*", {"1": 0, "x": 0}.__getitem__)
     assert q1 == q2 and hash(q1) == hash(q2)
     assert q1 != RepCongruence.discrete(idem, "*")
 

@@ -123,10 +123,16 @@ def test_presheaf_listing_an_element_twice_is_rejected():
 @pytest.mark.parametrize("sets, action, named", [
     ({"*": [[1]]}, {}, "sets of '\\*'"),
     ({"*": ["x"]}, {"x": {}}, "images of '1'"),
-], ids=["list-among-sets", "object-as-image"])
+    ({"*": [1]}, {}, "sets of '\\*'"),
+    ({"*": [True]}, {}, "sets of '\\*'"),
+    ({"*": [None]}, {}, "sets of '\\*'"),
+    ({"*": ["x"]}, {"x": 1}, "images of '1'"),
+], ids=["list-among-sets", "object-as-image", "number-among-sets", "boolean-among-sets",
+        "null-among-sets", "number-as-image"])
 def test_presheaf_with_an_unhashable_entry_is_rejected(sets, action, named):
-    # a JSON list or object can name no element, so loading reports it
-    # against its object or morphism rather than failing on hashing
+    # an action names elements by JSON object keys, which are strings, so a
+    # list, object, number, boolean or null can name no element; loading
+    # reports it against its object or morphism
     site = fixtures.cyclic_group(2).site()
     data = {"sets": sets, "actions": {"1": action}}
     with pytest.raises(InputFormatError, match=named):
@@ -304,6 +310,18 @@ def test_cli_boolean_dfa_state_exits_2(tmp_path, capsys, states, initial, accept
     path.write_text(json.dumps(data))
     assert main(["words", "--dfa", str(path)]) == 2
     assert "malformed input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alphabet", [[0, 1], ["ab"]], ids=["integers", "two-characters"])
+def test_cli_dfa_symbol_that_is_no_character_exits_2(tmp_path, capsys, alphabet):
+    # the loader holds symbols to the rule Dfa enforces: one-character strings
+    data = {"alphabet": alphabet, "states": [0], "initial": 0, "accepting": [0],
+            "transitions": [[0, a, 0] for a in alphabet]}
+    path = tmp_path / "symbols.dfa"
+    path.write_text(json.dumps(data))
+    assert main(["words", "--dfa", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input:") and repr(alphabet[0]) in err
 
 
 def test_cli_lsc_report(tmp_path, capsys):

@@ -272,6 +272,18 @@ def test_xi_laws_and_interning_once_per_site(name):
                    for c in site.objects for q in xi.components[c].values())
 
 
+@pytest.mark.parametrize("name", sorted(LAW_SITES))
+def test_action_matches_precomposition_by_name(name):
+    # q . f relates u and v iff f*u ~ f*v; the reference composes by name and
+    # reads no position table of the site
+    site = LAW_SITES[name]
+    L = build_lsc(site)
+    for f, a, d in site.morphisms:
+        for q in L.elements(d):
+            assert L.act(q, f) == RepCongruence.from_labels(
+                site, a, lambda u: q.block_id(site.compose(f, u))), (f, q)
+
+
 def _xi_by_definition(L, X):
     """xi_X read off the definition: x goes to the partition of each Hom(a, c)
     by the value of x . u, one element and one arrow at a time."""

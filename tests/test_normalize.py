@@ -144,8 +144,8 @@ def test_coset_action_is_conjugation(d4, named):
 def test_backward_rejects_corrupt_congruence():
     z4 = fixtures.cyclic_group(4)
     # {0,1},{2,3} is a partition whose identity block is not a subgroup;
-    # it is not right-compatible, so it can only arise from corrupted data
-    corrupt = RepCongruence(z4.site(), "*", {"*": [["0", "1"], ["2", "3"]]})
+    # it is not right-compatible, so no element of Xi, but from_labels builds it
+    corrupt = RepCongruence.from_labels(z4.site(), "*", lambda u: u in ("0", "1"))
     with pytest.raises(NotACongruenceOfSubgroupForm):
         congruence_to_subgroup(z4, corrupt)
 
