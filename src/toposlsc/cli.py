@@ -88,13 +88,13 @@ def _report(args):
                                    [cert])
     if args.command == "words":
         if args.regex is not None:
-            if not args.alphabet:
+            if args.alphabet is None:
                 raise InputFormatError("--regex requires --alphabet")
             d = regex_to_min_dfa(args.regex, args.alphabet)
             return reports.words_report(d, source={"regex": args.regex,
                                                    "alphabet": args.alphabet})
         d = io.load_dfa(args.dfa)
-        if args.alphabet and tuple(args.alphabet) != d.alphabet:
+        if args.alphabet is not None and tuple(args.alphabet) != d.alphabet:
             raise InputFormatError(
                 f"--alphabet {args.alphabet!r} does not match the DFA file's "
                 f"alphabet {''.join(d.alphabet)!r}")

@@ -10,27 +10,31 @@ type plus a set of accepting states, so validation, canonical numbering,
 `letter` and `run` exist once.  One breadth-first exploration, `_explore`,
 numbers new states everywhere: the canonical form, the subset construction,
 the pointed product behind meets and the orbit fold, and the transition
-monoid, whose exploration rows are its right Cayley graph.  One partition
-refiner, `_refine` (Hopcroft's smaller-half worklist), serves minimization,
-starting from the accepting flags, and `state_classes`, starting from labels
-of strongly connected components; each block of the latter is then split
-into pointed-isomorphism classes by lockstep isomorphism attempts, so no
-state's future is canonicalized on its own.
+monoid, whose exploration rows are its right Cayley graph; it composes byte
+strings by `bytes.translate` up to 256 states, tuples by `itemgetter` above.
+One partition refiner, `_refine` (Hopcroft's smaller-half worklist), serves
+minimization, starting from the accepting flags, and `state_classes`,
+starting from labels of strongly connected components; each block of the
+latter is then split into pointed-isomorphism classes by lockstep isomorphism
+attempts, so no state's future is canonicalized on its own.
 
 Only finite-index congruences are representable.  That is exactly the orbit-
 finite fragment in which regular languages live; non-regular languages have
 no representation here and are out of scope, not approximated.
 
 The pipeline regex -> NFA -> DFA -> minimal DFA is deliberately standard
-(Thompson, subset construction, Hopcroft); the interesting operations sit on
-top of it: Nerode congruences, the congruence action and meets, syntactic
-monoids via transition monoids, orbit infima, and the normalization operator
-that groups states by the pointed-isomorphism class of their futures.  The
-word oracles stay off that pipeline: the residual oracle derives (Brzozowski)
-each derivative by each letter once and signs each derivative once, and the
-two-sided oracle walks bounded breadth-first layers.
+(Thompson, subset construction, Hopcroft), save that a subset holds only its
+states with a letter transition and the accepting one, and its successors are
+unions of closures computed once per transition.  The interesting operations
+sit on top of it: Nerode congruences, the congruence action and meets,
+syntactic monoids via transition monoids, orbit infima, and the normalization
+operator that groups states by the pointed-isomorphism class of their
+futures.  The word oracles stay off that pipeline: the residual oracle
+derives (Brzozowski) each derivative by each letter once and signs each
+derivative once, and the two-sided oracle walks bounded breadth-first layers.
 """
 
+import functools
 import heapq
 import itertools
 from operator import itemgetter
@@ -652,12 +656,15 @@ def regex_to_min_dfa(tree, alphabet):
     if isinstance(tree, str):
         tree = parse_regex(tree, symbols)
     eps, trans, start, accept = _thompson(tree)
+    kept = {s for s, out in enumerate(trans) if out} | {accept}
+    steps = [{s: _eps_closure(eps, out[ch]) & kept for s, out in enumerate(trans) if ch in out}
+             for ch in symbols]
 
     def successors(subset):
-        return [_eps_closure(eps, set().union(*(trans[s].get(ch, ()) for s in subset)))
-                for ch in symbols]
+        return [frozenset().union(*map(step.get, subset, itertools.repeat(frozenset())))
+                for step in steps]
 
-    number, rows = _explore(_eps_closure(eps, {start}), successors)
+    number, rows = _explore(_eps_closure(eps, {start}) & kept, successors)
     accepting = {i for i, subset in enumerate(number) if accept in subset}
     return minimize(Dfa(symbols, len(rows), 0, accepting, rows))
 
@@ -742,22 +749,28 @@ class TransitionMonoid:
     """The monoid of state transformations realized by words, numbered
     breadth-first from the identity (element 0), each element stored with its
     shortlex-least witness word.  ``rows[i][a]`` is the element realized by
-    witness i followed by the a-th letter: the right Cayley graph."""
+    witness i followed by the a-th letter: the right Cayley graph.  The
+    tuples of ``elements`` are built from their encoding on first access."""
 
     def __init__(self, alphabet, number, rows):
         self.alphabet = tuple(alphabet)
-        self.elements = tuple(number)
         self.witnesses = _witnesses(rows, self.alphabet)
         self._index = number
         self._rows = rows
 
+    @functools.cached_property
+    def elements(self):
+        return tuple(map(tuple, self._index))
+
     @property
     def order(self):
-        return len(self.elements)
+        return len(self._rows)
 
     def mult(self, i, j):
-        """Index of the element realized by witness_i followed by witness_j."""
-        return self._index[tuple(map(self.elements[j].__getitem__, self.elements[i]))]
+        """Index of witness_i followed by witness_j, read along the Cayley graph."""
+        for ch in self.witnesses[j]:
+            i = self._rows[i][self.alphabet.index(ch)]
+        return i
 
     def table(self):
         """Full composition table; quadratic, built on each call."""
@@ -773,15 +786,17 @@ class TransitionMonoid:
 
 def transition_monoid(alphabet, delta_rows):
     """Close the letter transformations under composition, breadth-first in
-    shortlex order so the recorded witnesses are least.  On one state every
-    letter is the identity (and itemgetter would return a scalar)."""
+    shortlex order so the recorded witnesses are least.  Up to 256 states f
+    then a letter is f.translate(the letter's column padded to 256 bytes);
+    above that, tuples compose through one itemgetter per element."""
     symbols = _check_alphabet(alphabet)
     letters = list(zip(*delta_rows))
-    identity = tuple(range(len(delta_rows)))
-    if len(identity) == 1:
-        number, rows = _explore(identity, lambda f: letters)
+    states = range(len(delta_rows))
+    if len(states) <= 256:
+        tables = [bytes(a).ljust(256, b"\0") for a in letters]
+        number, rows = _explore(bytes(states), lambda f: map(f.translate, tables))
     else:
-        number, rows = _explore(identity, lambda f: map(itemgetter(*f), letters))
+        number, rows = _explore(tuple(states), lambda f: map(itemgetter(*f), letters))
     return TransitionMonoid(symbols, number, rows)
 
 

@@ -211,6 +211,22 @@ def test_cli_words_requires_alphabet(capsys):
     assert code == 2
 
 
+def test_cli_words_regex_over_the_empty_alphabet(capsys):
+    # an empty --alphabet is given, not missing: '#e' over no letters passes
+    code = main(["--format", "machine", "words", "--regex", "#e", "--alphabet", ""])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["payload"]["alphabet"] == []
+
+
+def test_cli_words_dfa_rejects_an_empty_alphabet_that_does_not_match(capsys):
+    path = str(ROOT / "demos" / "data" / "abstar.dfa")
+    code = main(["words", "--dfa", path, "--alphabet", ""])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("malformed input: --alphabet '' does not match the DFA file's")
+
+
 def test_cli_words_machine_format_is_json(capsys):
     code = main(["--format", "machine", "words", "--regex", "a*", "--alphabet", "ab"])
     out = capsys.readouterr().out

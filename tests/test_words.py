@@ -101,7 +101,9 @@ def test_long_regex_compiles_and_deep_nesting_is_a_syntax_error():
 # --- compilation, cross-checked against the membership oracle -------------------
 
 FIXED_REGEXES = ["(ab)*", "(a|b)*a", "a*", "#e", "#0", "a(a|b)*", "b(ab)*",
-                 "a*b*", "(a|b)(a|b)"]
+                 "a*b*", "(a|b)(a|b)",
+                 # the closures behind the members' transitions overlap
+                 "((a|b)*(a|b)*)*", "(a*b*)*a(#e|b)", "((a|#e)(b|#e))*b*"]
 
 
 @pytest.mark.parametrize("expr", FIXED_REGEXES)
@@ -1051,11 +1053,26 @@ def _monoid_by_tuples(alphabet, delta_rows):
     return tuple(elements), rows, tuple(witnesses)
 
 
+def _dihedral(n):
+    """The n-cycle and the reflection i -> n-1-i: a group of order 2n for n >= 3."""
+    return [[(i + 1) % n, n - 1 - i] for i in range(n)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda k: st.integers(1, 6).flatmap(
     lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
                        min_size=n, max_size=n))))
+# one state, and both sides of the 256 states that byte strings can hold
+@example(_dihedral(1))
+@example(_dihedral(2))
+@example(_dihedral(255))
+@example(_dihedral(256))
+@example(_dihedral(257))
 def test_transition_monoid_matches_the_tuple_closure(delta):
     alphabet = "abc"[:len(delta[0])]
     tm = transition_monoid(alphabet, delta)
     assert (tm.elements, tm._rows, tm.witnesses) == _monoid_by_tuples(alphabet, delta)
+    rng = random.Random(len(delta))
+    for _ in range(200):
+        i, j = rng.randrange(tm.order), rng.randrange(tm.order)
+        assert tm.elements[tm.mult(i, j)] == tuple(tm.elements[j][x] for x in tm.elements[i])
