@@ -15,7 +15,7 @@ from .fincat import DEFAULT_BUDGET
 from . import io, reports
 from .lsc import build_lsc
 from .verify import SUITES, run_suite
-from .words import regex_to_min_dfa
+from .words import WORDS_SCALE, regex_to_min_dfa
 
 BUDGET_ENV = "TOPOS_LSC_BUDGET"
 
@@ -25,7 +25,8 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
                         help=f"enumeration size cap (default: ${BUDGET_ENV} "
-                             f"or {DEFAULT_BUDGET})")
+                             f"or {DEFAULT_BUDGET}); words caps each "
+                             f"exploration at {WORDS_SCALE} times it")
     common.add_argument("--format", choices=("human", "machine"),
                         default=argparse.SUPPRESS,
                         help="report rendering (default: human)")
@@ -87,18 +88,19 @@ def _report(args):
         return reports.make_report(f"verify-{args.suite}", {"checks": len(cert.checks)},
                                    [cert])
     if args.command == "words":
+        cap = WORDS_SCALE * _budget(args)
         if args.regex is not None:
             if args.alphabet is None:
                 raise InputFormatError("--regex requires --alphabet")
-            d = regex_to_min_dfa(args.regex, args.alphabet)
+            d = regex_to_min_dfa(args.regex, args.alphabet, cap)
             return reports.words_report(d, source={"regex": args.regex,
-                                                   "alphabet": args.alphabet})
+                                                   "alphabet": args.alphabet}, cap=cap)
         d = io.load_dfa(args.dfa)
         if args.alphabet is not None and tuple(args.alphabet) != d.alphabet:
             raise InputFormatError(
                 f"--alphabet {args.alphabet!r} does not match the DFA file's "
                 f"alphabet {''.join(d.alphabet)!r}")
-        return reports.words_report(d, source={"dfa": args.dfa})
+        return reports.words_report(d, source={"dfa": args.dfa}, cap=cap)
     if args.command == "group":
         G = io.load_group(args.group_file)
         return reports.group_report(G, build_lsc(G.site(), _budget(args)))

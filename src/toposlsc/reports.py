@@ -103,16 +103,16 @@ def group_report(G, L):
     return make_report("group", payload, [cert])
 
 
-def words_analysis(d):
+def words_analysis(d, cap=None):
     """Minimize d once and derive, from the minimal DFA m, the Nerode
-    congruence rc, the syntactic monoid tm with its two-sided congruence syn,
-    the normalization image of rc, and a certificate of the five standard
-    verdicts: (m, rc, tm, syn, normalized, cert)."""
+    congruence rc, the syntactic monoid tm (at most ``cap`` elements) with its
+    two-sided congruence syn, the normalization image of rc, and a
+    certificate of the five standard verdicts: (m, rc, tm, syn, normalized, cert)."""
     m = minimize(d)
     # m is minimal: its states are the Nerode classes and its transition
     # monoid is the syntactic monoid, so neither is minimized again
     rc = _from_explored(m.alphabet, m.delta)
-    tm = transition_monoid(m.alphabet, m.delta)
+    tm = transition_monoid(m.alphabet, m.delta, cap)
     syn = tm.cayley_congruence()
     _, agrees = orbit_meet_check(rc, syn)
     normalized = words_normalization_operator(rc)
@@ -127,10 +127,10 @@ def words_analysis(d):
     return m, rc, tm, syn, normalized, cert
 
 
-def words_report(d, source=None):
+def words_report(d, source=None, cap=None):
     """Minimal DFA, Nerode index, syntactic monoid data, orbit size,
-    normalization image, and the standard verdicts."""
-    m, rc, tm, _, normalized, cert = words_analysis(d)
+    normalization image, and the standard verdicts, under `words_analysis`'s cap."""
+    m, rc, tm, _, normalized, cert = words_analysis(d, cap)
     payload = {
         "source": source,
         "alphabet": list(m.alphabet),

@@ -44,6 +44,7 @@ from .normalize import (
 )
 from .reports import words_analysis
 from .words import (
+    WORDS_SCALE,
     RightCongruence,
     _ball,
     congruence_action,
@@ -357,8 +358,8 @@ WORDS_LABELS = (
 )
 
 
-def _check_regex_fixture(cert, expr, alphabet):
-    d, rc, tm, syn, _, verdicts = words_analysis(regex_to_min_dfa(expr, alphabet))
+def _check_regex_fixture(cert, expr, alphabet, cap):
+    d, rc, tm, syn, _, verdicts = words_analysis(regex_to_min_dfa(expr, alphabet, cap), cap)
     for label, check in zip(WORDS_LABELS, verdicts.checks):
         cert.record(f"{expr}: {label}", check.passed)
     if (expr, tuple(alphabet)) in FROZEN_REGEX_FACTS:
@@ -470,9 +471,10 @@ def _random_trim_automaton(rng, max_states=5):
 
 def suite_words(budget=DEFAULT_BUDGET, fixtures_dir=None):
     cert = Certificate("words")
+    cap = WORDS_SCALE * budget
     compiled = {}
     for expr, alphabet in fixtures.BUNDLED_REGEXES:
-        compiled[expr] = _check_regex_fixture(cert, expr, alphabet)
+        compiled[expr] = _check_regex_fixture(cert, expr, alphabet, cap)
 
     # frozen lattice facts
     rc_enda = compiled["(a|b)*a"][1]
@@ -503,11 +505,11 @@ def suite_words(budget=DEFAULT_BUDGET, fixtures_dir=None):
                _embedding_counterexamples(compiled))
 
     for path in _fixture_files(fixtures_dir, ".dfa"):
-        index, residual, orbit = words_analysis(io.load_dfa(path))[-1].checks[:3]
+        index, residual, orbit = words_analysis(io.load_dfa(path), cap)[-1].checks[:3]
         cert.record(f"{path.name}: {WORDS_LABELS[0]}", index.passed and residual.passed)
         cert.record(f"{path.name}: {WORDS_LABELS[2]}", orbit.passed)
     for path in _fixture_files(fixtures_dir, ".regex"):
-        _check_regex_fixture(cert, *io.load_regex(path))
+        _check_regex_fixture(cert, *io.load_regex(path), cap)
     return cert
 
 

@@ -41,10 +41,13 @@ from operator import itemgetter
 
 from .errors import (
     AlphabetMismatch,
+    BudgetExceeded,
     RegexSyntaxError,
     SymbolOutsideAlphabet,
     UnknownState,
 )
+
+WORDS_SCALE = 100  # a budgeted caller caps each exploration at this many times the budget
 
 
 def _check_alphabet(alphabet):
@@ -338,14 +341,16 @@ def words_upto(alphabet, bound):
 # pointed transition systems: right congruences and DFAs
 # ---------------------------------------------------------------------------
 
-def _explore(start, successors):
+def _explore(start, successors, cap=None, what=None):
     """Breadth-first exploration from `start`.
 
     ``successors(s)`` lists the states reached from s by each letter, in
     alphabet order.  Returns ``(number, rows)``: ``number`` maps each reached
     state to its first-visit number (its insertion order is that order) and
     ``rows[i][a]`` is the number of the state the a-th letter leads to from
-    the i-th.
+    the i-th.  Rows are tuples of ints, which the garbage collector stops
+    tracking (lists stay tracked), so many rows do not lengthen full
+    collections.  A state numbered ``cap`` raises BudgetExceeded for ``what``.
     """
     number = {start: 0}
     get = number.get
@@ -357,9 +362,11 @@ def _explore(start, successors):
             j = get(t)
             if j is None:
                 j = number[t] = len(states)
+                if j == cap:
+                    raise BudgetExceeded(cap + 1, cap, what)
                 states.append(t)
             row.append(j)
-        rows.append(row)
+        rows.append(tuple(row))
     return number, rows
 
 
@@ -411,7 +418,7 @@ class RightCongruence:
     def _adopt(self, symbols, rows):
         """Set the fields from rows in canonical numbering; returns self."""
         self.alphabet = symbols
-        self.delta = tuple(map(tuple, rows))
+        self.delta = tuple(rows)
         self._letter = {ch: a for a, ch in enumerate(symbols)}
         self._hash = hash((symbols, self.delta))
         return self
@@ -646,11 +653,11 @@ def _eps_closure(eps, states):
     return frozenset(out)
 
 
-def regex_to_min_dfa(tree, alphabet):
+def regex_to_min_dfa(tree, alphabet, cap=None):
     """Compile to the minimal complete DFA (sink state included).
 
     Accepts a parse tree or a source string.  Subset construction over the
-    Thompson automaton, then Hopcroft minimization.
+    Thompson automaton, at most ``cap`` subsets, then Hopcroft minimization.
     """
     symbols = _check_alphabet(alphabet)
     if isinstance(tree, str):
@@ -664,7 +671,8 @@ def regex_to_min_dfa(tree, alphabet):
         return [frozenset().union(*map(step.get, subset, itertools.repeat(frozenset())))
                 for step in steps]
 
-    number, rows = _explore(_eps_closure(eps, {start}) & kept, successors)
+    number, rows = _explore(_eps_closure(eps, {start}) & kept, successors,
+                            cap, "subset construction")
     accepting = {i for i, subset in enumerate(number) if accept in subset}
     return minimize(Dfa(symbols, len(rows), 0, accepting, rows))
 
@@ -749,8 +757,9 @@ class TransitionMonoid:
     """The monoid of state transformations realized by words, numbered
     breadth-first from the identity (element 0), each element stored with its
     shortlex-least witness word.  ``rows[i][a]`` is the element realized by
-    witness i followed by the a-th letter: the right Cayley graph.  The
-    tuples of ``elements`` are built from their encoding on first access."""
+    witness i followed by the a-th letter: the right Cayley graph, whose
+    rows are tuples of ints, so the garbage collector stops tracking them.
+    The tuples of ``elements`` are built from their encoding on first access."""
 
     def __init__(self, alphabet, number, rows):
         self.alphabet = tuple(alphabet)
@@ -784,19 +793,20 @@ class TransitionMonoid:
         return f"TransitionMonoid(order={self.order})"
 
 
-def transition_monoid(alphabet, delta_rows):
+def transition_monoid(alphabet, delta_rows, cap=None):
     """Close the letter transformations under composition, breadth-first in
-    shortlex order so the recorded witnesses are least.  Up to 256 states f
-    then a letter is f.translate(the letter's column padded to 256 bytes);
-    above that, tuples compose through one itemgetter per element."""
+    shortlex order so the recorded witnesses are least, at most ``cap`` of
+    them.  Up to 256 states f then a letter is f.translate(the letter's column
+    padded to 256 bytes); above that, tuples compose through itemgetters."""
     symbols = _check_alphabet(alphabet)
     letters = list(zip(*delta_rows))
     states = range(len(delta_rows))
     if len(states) <= 256:
         tables = [bytes(a).ljust(256, b"\0") for a in letters]
-        number, rows = _explore(bytes(states), lambda f: map(f.translate, tables))
+        start, step = bytes(states), lambda f: map(f.translate, tables)
     else:
-        number, rows = _explore(tuple(states), lambda f: map(itemgetter(*f), letters))
+        start, step = tuple(states), lambda f: map(itemgetter(*f), letters)
+    number, rows = _explore(start, step, cap, "transition monoid")
     return TransitionMonoid(symbols, number, rows)
 
 
@@ -829,7 +839,8 @@ def _two_sided(rows):
 def orbit_meet_check(rc, syn):
     """Fold the meet over the orbit of rc and compare it with syn, the
     syntactic congruence the caller computed through the transition monoid.
-    Returns the meet and whether the two routes agree.
+    Returns the meet and whether the two routes agree.  The fold needs no
+    cap: each product's index is at most the transition monoid's order.
 
     The orbit's members are rc pointed at each state q.  If a meet theta of
     some of them has theta <= rc and theta <= theta * a for every letter a,

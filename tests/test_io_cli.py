@@ -2,6 +2,10 @@ import copy
 import functools
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -15,10 +19,10 @@ from toposlsc import cli, fixtures, io, reports
 from toposlsc.certificates import Certificate
 from toposlsc.cli import main
 from toposlsc.errors import InputFormatError, UnknownObject
-from toposlsc.fincat import FiniteCategory
+from toposlsc.fincat import DEFAULT_BUDGET, FiniteCategory
 from toposlsc.lsc import build_lsc
 from toposlsc.reports import lsc_report, render_machine, words_report
-from toposlsc.words import regex_to_min_dfa
+from toposlsc.words import Dfa, regex_to_min_dfa
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -408,6 +412,65 @@ def test_cli_budget_env_variable(tmp_path, capsys, monkeypatch):
     assert main(["group", str(path)]) == 3
     monkeypatch.setenv("TOPOS_LSC_BUDGET", "5000")
     assert main(["group", str(path)]) == 0
+
+
+def _full_transformation_dfa(n):
+    """States 0..n-1 over abc: a cycles them, b swaps 0 and 1, c sends 0 to
+    1; 0 is initial and the only accepting state.  Its letters generate all
+    n**n maps, so its transition monoid has n**n elements."""
+    delta = [[(s + 1) % n, {0: 1, 1: 0}.get(s, s), 1 if s == 0 else s] for s in range(n)]
+    return io.dump_dfa(Dfa("abc", n, 0, {0}, delta))
+
+
+def _budget_message(stage, cap):
+    return f"budget exceeded: {stage} has size {cap + 1}, exceeding the budget {cap}\n"
+
+
+@pytest.mark.parametrize("source,stage", [
+    ("t7", "transition monoid"),  # 7**7 elements
+    ("(a|b)*a" + "(a|b)" * 9, "subset construction"),  # 1024 subsets
+])
+def test_cli_words_budget_exits_3(tmp_path, capsys, monkeypatch, source, stage):
+    monkeypatch.delenv("TOPOS_LSC_BUDGET", raising=False)
+    if source == "t7":
+        path = tmp_path / "t7.dfa"
+        path.write_text(json.dumps(_full_transformation_dfa(7)))
+        argv = ["--dfa", str(path)]
+    else:
+        argv = ["--regex", source, "--alphabet", "ab"]
+    assert main(["--budget", "10", "words", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _budget_message(stage, cli.WORDS_SCALE * 10)
+
+
+def test_cli_verify_words_fixtures_are_under_the_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("TOPOS_LSC_BUDGET", raising=False)
+    (tmp_path / "t7.dfa").write_text(json.dumps(_full_transformation_dfa(7)))
+    argv = ["--budget", "10", "verify", "--suite", "words", "--fixtures", str(tmp_path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == _budget_message("transition monoid", cli.WORDS_SCALE * 10)
+
+
+def test_cli_words_default_budget_stops_a_monoid_too_large_for_memory(tmp_path):
+    # T8's 8**8 elements do not fit in the address-space limit, so a run
+    # that ignored the budget would end in a MemoryError (exit 4), not 3
+    path = tmp_path / "t8.dfa"
+    path.write_text(json.dumps(_full_transformation_dfa(8)))
+    env = {k: v for k, v in os.environ.items() if k != "TOPOS_LSC_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (1024 ** 3, hard))
+
+    result = subprocess.run([sys.executable, "-m", "toposlsc.cli", "words", "--dfa", str(path)],
+                            env=env, capture_output=True, text=True, timeout=300,
+                            preexec_fn=cap_address_space)
+    assert (result.returncode, result.stdout) == (3, ""), result.stderr
+    assert result.stderr == _budget_message("transition monoid",
+                                            cli.WORDS_SCALE * DEFAULT_BUDGET)
 
 
 def test_cli_verify_filters_suite(capsys):

@@ -39,9 +39,9 @@ def test_suite_words_compiles_each_regex_once(monkeypatch):
     compiled = []
     real = verify.regex_to_min_dfa
 
-    def counting(expr, alphabet):
+    def counting(expr, alphabet, cap=None):
         compiled.append((expr, alphabet))
-        return real(expr, alphabet)
+        return real(expr, alphabet, cap)
 
     monkeypatch.setattr(verify, "regex_to_min_dfa", counting)
     assert verify.suite_words().ok

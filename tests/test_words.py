@@ -1,4 +1,5 @@
 import functools
+import gc
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from perfbench.inputs import connected_dfa, ends_regex
 from toposlsc.errors import (
     AlphabetMismatch,
+    BudgetExceeded,
     RegexSyntaxError,
     SymbolOutsideAlphabet,
     UnknownState,
@@ -1049,7 +1051,7 @@ def _monoid_by_tuples(alphabet, delta_rows):
                 elements.append(g)
                 witnesses.append(witnesses[i] + ch)
             row.append(index[g])
-        rows.append(row)
+        rows.append(tuple(row))
     return tuple(elements), rows, tuple(witnesses)
 
 
@@ -1076,3 +1078,36 @@ def test_transition_monoid_matches_the_tuple_closure(delta):
     for _ in range(200):
         i, j = rng.randrange(tm.order), rng.randrange(tm.order)
         assert tm.elements[tm.mult(i, j)] == tuple(tm.elements[j][x] for x in tm.elements[i])
+
+
+@pytest.mark.parametrize("n", [5, 257])  # both encodings of the transition monoid
+def test_exploration_rows_are_untracked_by_the_collector(n):
+    # rows are tuples of ints, which a collection stops tracking; list rows
+    # would stay tracked and lengthen every later full collection
+    delta = _dihedral(n)
+    rc = RightCongruence("ab", delta)
+    tm = transition_monoid("ab", delta)
+    meet, agrees = orbit_meet_check(rc, tm.cayley_congruence())
+    assert agrees and meet.index == tm.order == 2 * n
+    explored = {
+        "monoid rows": tm._rows,
+        "meet": congruence_meet(rc, state_congruence(rc, 1)).delta,
+        "orbit meet": meet.delta,
+        "minimal DFA": regex_to_min_dfa("(a|b)*a(a|b)(a|b)", "ab").delta,
+    }
+    gc.collect()
+    for name, rows in explored.items():
+        assert not any(map(gc.is_tracked, rows)), name
+
+
+def test_exploration_cap_is_the_largest_allowed_size():
+    # D_5 has 10 elements and (a|b)*a(a|b) 4 subsets
+    delta = _dihedral(5)
+    assert transition_monoid("ab", delta, cap=10).order == 10
+    assert regex_to_min_dfa("(a|b)*a(a|b)", "ab", cap=4).n == 4
+    for run, size, what in [
+            (lambda: transition_monoid("ab", delta, cap=9), 10, "transition monoid"),
+            (lambda: regex_to_min_dfa("(a|b)*a(a|b)", "ab", cap=3), 4, "subset construction")]:
+        with pytest.raises(BudgetExceeded) as err:
+            run()
+        assert (err.value.size, err.value.cap, err.value.what) == (size, size - 1, what)
