@@ -13,10 +13,9 @@ from toposlsc.words import (
     congruence_leq,
     congruence_meet,
     nerode_congruence,
-    orbit_of,
     orbit_meet_check,
     regex_to_min_dfa,
-    syntactic_congruence,
+    transition_monoid,
     words_normalization_operator,
 )
 
@@ -31,8 +30,11 @@ after_a = congruence_action(rc, "a")
 print("rc * a equals nerode of b(ab)*:",
       after_a == nerode_congruence(regex_to_min_dfa("b(ab)*", "ab")))
 
-print("orbit size:", len(orbit_of(rc)))
-tm, syn = syntactic_congruence(d)
+# the orbit {rc * w} has one member per class of isomorphic futures
+print("orbit size:", words_normalization_operator(rc).index)
+# d is minimal, so its transition monoid is the syntactic monoid
+tm = transition_monoid(d.alphabet, d.delta)
+syn = tm.cayley_congruence()
 meet, agrees = orbit_meet_check(rc, syn)
 print(f"orbit infimum has index {meet.index}; syntactic monoid has order "
       f"{tm.order}; the two routes agree: {agrees}")

@@ -27,11 +27,6 @@ def main():
     write("z4.group", io.dump_group(fixtures.cyclic_group(4)))
     write("abstar.dfa", io.dump_dfa(regex_to_min_dfa("(ab)*", "ab")))
     write("ends_in_a.dfa", io.dump_dfa(regex_to_min_dfa("(a|b)*a", "ab")))
-    write("single_edge.presheaf", {
-        "sets": {"V": ["p", "q"], "E": ["e"]},
-        "actions": {"id_V": {"p": "p", "q": "q"}, "id_E": {"e": "e"},
-                    "s": {"e": "p"}, "t": {"e": "q"}},
-    })
     # indices refer to the canonical congruence order of the graph classifier
     write("graph_top.filter", {"V": [0], "E": [1]})
 

@@ -67,7 +67,6 @@ from .filters import (
     comonad_apply,
     filter_generated_by,
     full_filter,
-    in_subcategory,
     top_filter,
     validate_filter,
 )
@@ -82,7 +81,6 @@ from .words import (
     minimize,
     nerode_congruence,
     orbit_meet_check,
-    orbit_of,
     parse_regex,
     random_min_dfa,
     regex_member,
@@ -91,7 +89,6 @@ from .words import (
     residual_count_dfa,
     state_classes,
     state_congruence,
-    syntactic_congruence,
     syntactically_equivalent_bruteforce,
     top_congruence,
     transition_monoid,

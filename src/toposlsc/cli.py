@@ -26,7 +26,8 @@ def _build_parser():
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
                         help=f"enumeration size cap (default: ${BUDGET_ENV} "
                              f"or {DEFAULT_BUDGET}); words caps each "
-                             f"exploration at {WORDS_SCALE} times it")
+                             f"exploration at {WORDS_SCALE} times it, weighting "
+                             f"monoid elements by max(states, 256)/256")
     common.add_argument("--format", choices=("human", "machine"),
                         default=argparse.SUPPRESS,
                         help="report rendering (default: human)")

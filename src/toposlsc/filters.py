@@ -8,8 +8,6 @@ certificate routine checks, exhaustively on sample presheaves, that the
 corestricted cocone behaves as the local state classifier of that quotient.
 """
 
-from collections import namedtuple
-
 from .certificates import Certificate
 from .errors import (
     ElementNotInCarrier,
@@ -23,7 +21,6 @@ from .errors import (
 )
 from .fincat import (
     Presheaf,
-    PresheafMorphism,
     RepCongruence,
     coproduct,
     enumerate_morphisms,
@@ -96,12 +93,15 @@ def top_filter(L):
 def validate_filter(L, selection):
     """Check the filter clauses, raising the first violated one with witness.
 
-    Order: sub-presheaf (when the InternalFilter is built), upward closure,
-    top membership, meet closure.  With this order a selection missing top
-    is reported as an upward-closure failure whenever it contains anything
-    below top; MissingTop is reserved for selections that are empty somewhere.
+    Order: sub-presheaf (when the InternalFilter is built), the classifier
+    (SiteMismatch unless F was built on L), upward closure, top membership,
+    meet closure.  With this order a selection missing top is reported as an
+    upward-closure failure whenever it contains anything below top;
+    MissingTop is reserved for selections that are empty somewhere.
     """
     F = selection if isinstance(selection, InternalFilter) else InternalFilter(L, selection)
+    if F.lsc is not L:
+        raise SiteMismatch("the filter lives on another classifier")
     for c in L.site.objects:
         chosen = F.selection[c]
         for q in F.carrier[c]:
@@ -146,9 +146,6 @@ def filter_generated_by(L, seeds):
                               for c in cat.objects})
 
 
-Membership = namedtuple("Membership", ["member", "lift", "witness"])
-
-
 def _classify(F, X):
     """xi_X, and the first (c, x, xi_X(x)) with xi_X(x) outside F or None."""
     L = F.lsc
@@ -164,14 +161,6 @@ def _coreflect(F, X, xi):
     """GX, the elements of X that xi sends into F, with its counit."""
     return subpresheaf(X, {c: {x for x, q in xi.components[c].items() if F.contains(c, q)}
                            for c in F.site.objects})
-
-
-def in_subcategory(F, X):
-    """Does xi_X land in F?  If so, also return the corestriction to F."""
-    xi, outside = _classify(F, X)
-    if outside is not None:
-        return Membership(False, None, outside)
-    return Membership(True, PresheafMorphism.derived(X, F, xi.components), None)
 
 
 def comonad_apply(F, X):

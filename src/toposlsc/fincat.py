@@ -372,6 +372,16 @@ class RepCongruence:
         if other.base_object != self.base_object:
             raise ObjectMismatch(
                 f"{what} congruences at {self.base_object!r} and {other.base_object!r}")
+        if not self._numbered_alike(other):
+            raise SiteMismatch(f"{what} congruences at {self.base_object!r} on different sites")
+
+    def _numbered_alike(self, other):
+        """Whether other, at the same object c, reads its labels as this does.
+        Labels number the arrows into c, so equal labels on another site are
+        the same partition only when that site names those arrows the same way."""
+        c = self.base_object
+        return (self.site is other.site
+                or self.site.morphisms_into(c) == other.site.morphisms_into(c))
 
     def precompose(self, f):
         """The congruence on y(src f) relating u, v iff f*u ~ f*v here."""
@@ -399,13 +409,8 @@ class RepCongruence:
         return tuple(tuple(tuple(idx[u] for u in b) for b in bs) for bs in self.blocks.values())
 
     def __eq__(self, other):
-        # labels number the arrows into c, so equal labels on another site
-        # are the same partition only when that site names them the same way
-        c = self.base_object
-        return (isinstance(other, RepCongruence) and c == other.base_object
-                and self.labels == other.labels
-                and (self.site is other.site
-                     or self.site.morphisms_into(c) == other.site.morphisms_into(c)))
+        return (isinstance(other, RepCongruence) and self.base_object == other.base_object
+                and self.labels == other.labels and self._numbered_alike(other))
 
     def __hash__(self):
         return self._hash

@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 from .errors import InputFormatError
-from .fincat import FiniteCategory, Presheaf
+from .fincat import FiniteCategory
 from .normalize import FiniteGroup
 from .words import Dfa
 
@@ -97,36 +97,6 @@ def dump_category(cat):
         "composition": [{"g": g, "f": f, "result": h}
                         for (g, f), h in sorted(cat.composition.items())],
     }
-
-
-def load_presheaf(cat, source):
-    """Presheaf file: `sets` per object (missing objects mean empty) and
-    `actions` per morphism; keys outside the site are rejected."""
-    data = _as_data(source, "presheaf")
-    _check_fields(data, "presheaf file", ("sets", "actions"),
-                  types={"sets": dict, "actions": dict})
-    if not all(isinstance(v, list) for v in data["sets"].values()):
-        raise InputFormatError("presheaf sets must map objects to lists")
-    if not all(isinstance(v, dict) for v in data["actions"].values()):
-        raise InputFormatError("presheaf actions must map morphisms to objects")
-    bad_objects = [c for c in data["sets"] if c not in cat._obj_index]
-    bad_morphisms = [m for m in data["actions"] if m not in cat.src]
-    problems = [f"unknown object {c!r} in sets" for c in bad_objects]
-    problems += [f"unknown morphism {m!r} in actions" for m in bad_morphisms]
-    # an action names elements by JSON object keys, so every element is a string
-    for c, xs in data["sets"].items():
-        if not all(isinstance(x, str) for x in xs):
-            problems.append(f"a non-string among the sets of {c!r}")
-        elif len(set(xs)) != len(xs):
-            problems.append(f"duplicate elements in sets of {c!r}")
-    problems += [f"a non-string among the images of {m!r}"
-                 for m, table in data["actions"].items()
-                 if not all(isinstance(x, str) for x in table.values())]
-    if problems:
-        raise InputFormatError("malformed presheaf file: " + "; ".join(problems),
-                               details=problems)
-    return Presheaf(cat, data["sets"],
-                    {m: dict(table) for m, table in data["actions"].items()})
 
 
 def load_group(source):

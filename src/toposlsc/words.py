@@ -795,9 +795,11 @@ class TransitionMonoid:
 
 def transition_monoid(alphabet, delta_rows, cap=None):
     """Close the letter transformations under composition, breadth-first in
-    shortlex order so the recorded witnesses are least, at most ``cap`` of
-    them.  Up to 256 states f then a letter is f.translate(the letter's column
-    padded to 256 bytes); above that, tuples compose through itemgetters."""
+    shortlex order so the recorded witnesses are least.  Up to 256 states f
+    then a letter is f.translate(the letter's column padded to 256 bytes);
+    above that, tuples compose through itemgetters.  Each element holds one
+    cell per state, so ``cap`` bounds elements times max(states, 256) by
+    ``cap`` times 256: up to 256 states it caps the elements."""
     symbols = _check_alphabet(alphabet)
     letters = list(zip(*delta_rows))
     states = range(len(delta_rows))
@@ -806,28 +808,10 @@ def transition_monoid(alphabet, delta_rows, cap=None):
         start, step = bytes(states), lambda f: map(f.translate, tables)
     else:
         start, step = tuple(states), lambda f: map(itemgetter(*f), letters)
+        if cap is not None:  # never 0: new elements number from 1, so 0 would never fire
+            cap = max(1, cap * 256 // len(states))
     number, rows = _explore(start, step, cap, "transition monoid")
     return TransitionMonoid(symbols, number, rows)
-
-
-def syntactic_congruence(d):
-    """The syntactic monoid and the two-sided congruence of L(d).
-
-    Computed as the transition monoid of the minimal DFA (which realizes the
-    syntactic monoid) with its right-multiplication Cayley structure pointed
-    at the identity.
-    """
-    m = minimize(d)
-    tm = transition_monoid(m.alphabet, m.delta)
-    return tm, tm.cayley_congruence()
-
-
-def orbit_of(rc):
-    """The (finite) orbit { rc * w }: one congruence per state class."""
-    first = {}
-    for q, c in enumerate(state_classes(rc)):
-        first.setdefault(c, q)
-    return [state_congruence(rc, q) for q in first.values()]
 
 
 def _two_sided(rows):

@@ -40,7 +40,7 @@ from toposlsc.words import (
     random_min_dfa,
     regex_to_min_dfa,
     residual_count_dfa,
-    syntactic_congruence,
+    transition_monoid,
 )
 
 
@@ -155,7 +155,7 @@ def test_criterion_8_words_suite():
         if not (rc.index == d.n == residual_count_dfa(d)):
             ok = False
             break
-        tm, syn = syntactic_congruence(d)
+        syn = transition_monoid(d.alphabet, d.delta).cayley_congruence()
         met, agrees = orbit_meet_check(rc, syn)
         if not agrees or met != syn:
             ok = False
@@ -163,8 +163,9 @@ def test_criterion_8_words_suite():
         if not congruence_leq(syn, rc):
             ok = False
             break
-    order_ab = syntactic_congruence(regex_to_min_dfa("(ab)*", "ab"))[0].order
-    order_enda = syntactic_congruence(regex_to_min_dfa("(a|b)*a", "ab"))[0].order
+    d_ab, d_enda = regex_to_min_dfa("(ab)*", "ab"), regex_to_min_dfa("(a|b)*a", "ab")
+    order_ab = transition_monoid(d_ab.alphabet, d_ab.delta).order
+    order_enda = transition_monoid(d_enda.alphabet, d_enda.delta).order
     ok = ok and order_ab == 6 and order_enda == 3
     elapsed = time.perf_counter() - started
     _verdict(8, f"Nerode/orbit-infimum/refinement identities on 20 random and "

@@ -33,7 +33,6 @@ from toposlsc.filters import (
     comonad_apply,
     filter_generated_by,
     full_filter,
-    in_subcategory,
     top_filter,
     validate_filter,
 )
@@ -144,8 +143,15 @@ def test_congruence_selected_at_the_wrong_object_is_an_object_mismatch(graph_lsc
     (lambda L: enumerate_morphisms(terminal(L.site),
                                    terminal(fixtures.idempotent_monoid_site())),
      SiteMismatch),
+    (lambda L: validate_filter(L, top_filter(build_lsc(fixtures.idempotent_monoid_site()))),
+     SiteMismatch),
+    (lambda L: validate_filter(L, full_filter(build_lsc(L.site))), SiteMismatch),
+    (lambda L: validate_filter(build_lsc(fixtures.dihedral_4().site()),
+                               full_filter(build_lsc(fixtures.cyclic_group(4).site()))),
+     SiteMismatch),
 ], ids=["seed-at-unknown-object", "seed-not-a-congruence", "selection-at-unknown-object",
-        "morphisms-across-sites"])
+        "morphisms-across-sites", "filter-on-another-site", "filter-of-another-classifier",
+        "filter-on-another-site-with-the-same-objects"])
 def test_library_inputs_on_the_filter_path_raise_typed_errors(graph_lsc, call, error):
     with pytest.raises(error):
         call(graph_lsc)
@@ -277,24 +283,16 @@ def test_a_filter_is_its_own_subpresheaf_of_xi(site):
 def test_everything_belongs_to_the_full_filter(graph_lsc):
     F = full_filter(graph_lsc)
     for X in (single_edge(graph_lsc.site), all_loops(graph_lsc.site)):
-        assert in_subcategory(F, X).member
+        assert comonad_apply(F, X)[0].carrier == X.carrier
 
 
 def test_top_filter_members_are_all_loops(graph_lsc):
     F = top_filter(graph_lsc)
-    assert in_subcategory(F, all_loops(graph_lsc.site)).member
-    result = in_subcategory(F, single_edge(graph_lsc.site))
-    assert not result.member
-    c, x, q = result.witness
-    assert (c, x) == ("E", "e") and q.is_discrete()
-
-
-def test_membership_lift_corestricts(graph_lsc):
-    F = top_filter(graph_lsc)
     X = all_loops(graph_lsc.site)
-    result = in_subcategory(F, X)
-    assert result.lift.target is F
-    result.lift.check_natural()
+    assert comonad_apply(F, X)[0].carrier == X.carrier
+    X = single_edge(graph_lsc.site)
+    assert comonad_apply(F, X)[0].carrier == {"V": ("p", "q"), "E": ()}
+    assert xi_component(graph_lsc, X).components["E"]["e"].is_discrete()
 
 
 def test_group_membership_is_stabilizers_in_filter(d4, d4_lsc, named):
@@ -302,14 +300,12 @@ def test_group_membership_is_stabilizers_in_filter(d4, d4_lsc, named):
     F = filter_generated_by(d4_lsc, {"*": [q_s2]})
     inside = quotient_of_representable(subgroup_to_congruence(d4, named["<t,s2>"]))
     outside = quotient_of_representable(subgroup_to_congruence(d4, named["<t>"]))
-    assert in_subcategory(F, inside).member
-    assert not in_subcategory(F, outside).member
+    assert comonad_apply(F, inside)[0].carrier == inside.carrier
+    assert comonad_apply(F, outside)[0].carrier != outside.carrier
 
 
 def test_site_mismatch_rejected(graph_lsc):
     foreign = terminal(fixtures.idempotent_monoid_site())
-    with pytest.raises(SiteMismatch):
-        in_subcategory(full_filter(graph_lsc), foreign)
     with pytest.raises(SiteMismatch):
         comonad_apply(full_filter(graph_lsc), foreign)
 

@@ -104,45 +104,6 @@ def test_dfa_unknown_state_rejected():
         io.load_dfa(data)
 
 
-def test_presheaf_load(tmp_path):
-    site = fixtures.graph_site()
-    data = {"sets": {"V": ["p", "q"], "E": ["e"]},
-            "actions": {"id_V": {"p": "p", "q": "q"}, "id_E": {"e": "e"},
-                        "s": {"e": "p"}, "t": {"e": "q"}}}
-    X = io.load_presheaf(site, data)
-    assert X.elements("E") == ("e",)
-    data["extra"] = 1
-    with pytest.raises(InputFormatError):
-        io.load_presheaf(site, data)
-
-
-def test_presheaf_listing_an_element_twice_is_rejected():
-    site = fixtures.cyclic_group(2).site()
-    data = {"sets": {"*": ["x", "x"]},
-            "actions": {m: {"x": "x"} for m, _, _ in site.morphisms}}
-    with pytest.raises(InputFormatError, match="duplicate elements in sets of '\\*'"):
-        io.load_presheaf(site, data)
-
-
-@pytest.mark.parametrize("sets, action, named", [
-    ({"*": [[1]]}, {}, "sets of '\\*'"),
-    ({"*": ["x"]}, {"x": {}}, "images of '1'"),
-    ({"*": [1]}, {}, "sets of '\\*'"),
-    ({"*": [True]}, {}, "sets of '\\*'"),
-    ({"*": [None]}, {}, "sets of '\\*'"),
-    ({"*": ["x"]}, {"x": 1}, "images of '1'"),
-], ids=["list-among-sets", "object-as-image", "number-among-sets", "boolean-among-sets",
-        "null-among-sets", "number-as-image"])
-def test_presheaf_with_an_unhashable_entry_is_rejected(sets, action, named):
-    # an action names elements by JSON object keys, which are strings, so a
-    # list, object, number, boolean or null can name no element; loading
-    # reports it against its object or morphism
-    site = fixtures.cyclic_group(2).site()
-    data = {"sets": sets, "actions": {"1": action}}
-    with pytest.raises(InputFormatError, match=named):
-        io.load_presheaf(site, data)
-
-
 def test_filter_selection_load():
     L = build_lsc(fixtures.graph_site())
     selection = io.load_filter_selection(L, {"E": [0, 1], "V": [0]})
@@ -153,21 +114,11 @@ def test_filter_selection_load():
         io.load_filter_selection(L, {"W": [0]})
 
 
-@pytest.mark.parametrize("load,data", [
-    ("presheaf", {"sets": 3, "actions": {}}),
-    ("presheaf", {"sets": {}, "actions": 3}),
-    ("presheaf", {"sets": {"V": "pq"}, "actions": {}}),
-    ("presheaf", {"sets": {}, "actions": {"s": ["e", "p"]}}),
-    ("filter", {"E": 3}),
-    ("filter", {"E": [True]}),
-])
-def test_library_loaders_reject_wrongly_typed_fields(load, data):
+@pytest.mark.parametrize("data", [{"E": 3}, {"E": [True]}])
+def test_library_loaders_reject_wrongly_typed_fields(data):
     L = build_lsc(fixtures.graph_site())
     with pytest.raises(InputFormatError):
-        if load == "presheaf":
-            io.load_presheaf(L.site, data)
-        else:
-            io.load_filter_selection(L, data)
+        io.load_filter_selection(L, data)
 
 
 def test_bad_json_reports_details(tmp_path):

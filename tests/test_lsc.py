@@ -11,6 +11,7 @@ from toposlsc.fincat import (
     representable,
     yoneda_morphism,
 )
+from toposlsc.io import dump_category, load_category
 from toposlsc.lsc import build_lsc, verify_meet_compatibility, xi_component
 from toposlsc.normalize import subgroup_to_congruence, subgroups
 
@@ -182,6 +183,18 @@ def test_meet_rejects_mixed_objects(graph_lsc):
     qe = graph_lsc.elements("E")[0]
     with pytest.raises(ObjectMismatch):
         qv.meet(qe)
+
+
+def test_meet_and_leq_reject_congruences_of_another_site(graph_lsc, d4_lsc):
+    # Z4's site has the one object of D4's, but numbers four arrows into it
+    foreign = build_lsc(fixtures.cyclic_group(4).site()).top_at("*")
+    for compare in (d4_lsc.top_at("*").meet, d4_lsc.top_at("*").leq):
+        with pytest.raises(SiteMismatch):
+            compare(foreign)
+    # a reloaded copy of the site numbers its arrows alike
+    copy = build_lsc(load_category(dump_category(graph_lsc.site)))
+    q = graph_lsc.elements("E")[0]
+    assert q.meet(copy.top_at("E")) == q and q.leq(copy.top_at("E"))
 
 
 def test_semilattice_laws_exhaustive(d4_lsc):

@@ -38,7 +38,6 @@ from toposlsc.words import (
     minimize,
     nerode_congruence,
     orbit_meet_check,
-    orbit_of,
     parse_regex,
     random_min_dfa,
     regex_member,
@@ -47,7 +46,6 @@ from toposlsc.words import (
     residual_count_dfa,
     state_classes,
     state_congruence,
-    syntactic_congruence,
     syntactically_equivalent_bruteforce,
     top_congruence,
     transition_monoid,
@@ -398,7 +396,8 @@ def test_alphabet_mismatch():
 
 def test_syntactic_monoid_of_ab_star():
     d = regex_to_min_dfa("(ab)*", "ab")
-    tm, syn = syntactic_congruence(d)
+    tm = transition_monoid(d.alphabet, d.delta)
+    syn = tm.cayley_congruence()
     assert tm.order == 6
     assert tm.witnesses == ("", "a", "b", "aa", "ab", "ba")
     assert syn.index == 6
@@ -412,15 +411,15 @@ def test_syntactic_monoid_of_ab_star():
 
 
 def test_syntactic_monoid_orders():
-    assert syntactic_congruence(regex_to_min_dfa("(a|b)*a", "ab"))[0].order == 3
-    assert syntactic_congruence(regex_to_min_dfa("(a|b)*", "ab"))[0].order == 1
-    assert syntactic_congruence(regex_to_min_dfa("a*", "ab"))[0].order == 2
+    for expr, order in (("(a|b)*a", 3), ("(a|b)*", 1), ("a*", 2)):
+        d = regex_to_min_dfa(expr, "ab")
+        assert transition_monoid(d.alphabet, d.delta).order == order
 
 
 def test_syntactic_congruence_agrees_with_two_sided_bruteforce():
     for expr in ("(ab)*", "(a|b)*a", "a*"):
         d = regex_to_min_dfa(expr, "ab")
-        _, syn = syntactic_congruence(d)
+        syn = transition_monoid(d.alphabet, d.delta).cayley_congruence()
         for u in words_upto(("a", "b"), 2):
             for v in words_upto(("a", "b"), 2):
                 assert syn.related(u, v) == \
@@ -445,7 +444,7 @@ def test_layered_two_sided_oracle_matches_word_enumeration():
     dfas += [random_min_dfa(rng, 6, "ab") for _ in range(20)]
     short = words_upto(("a", "b"), 2)
     for d in dfas:
-        _, syn = syntactic_congruence(d)
+        syn = transition_monoid(d.alphabet, d.delta).cayley_congruence()
         # n - 1 letters reach every state of a minimal DFA and tell any two
         # states apart, so past that the verdict no longer depends on the bound
         full = d.n * d.n if d.n <= 3 else d.n
@@ -462,7 +461,7 @@ def test_syntactic_refines_nerode():
     for expr in ("(ab)*", "(a|b)*a", "a*b*"):
         d = regex_to_min_dfa(expr, "ab")
         rc = nerode_congruence(d)
-        _, syn = syntactic_congruence(d)
+        syn = transition_monoid(d.alphabet, d.delta).cayley_congruence()
         assert congruence_leq(syn, rc), expr
 
 
@@ -472,7 +471,7 @@ def test_orbit_meet_equals_syntactic_on_fixtures():
     for expr in ("(ab)*", "(a|b)*a", "(a|b)*", "a*b*", "(a|b)*abb"):
         d = regex_to_min_dfa(expr, "ab")
         rc = nerode_congruence(d)
-        _, syn = syntactic_congruence(d)
+        syn = transition_monoid(d.alphabet, d.delta).cayley_congruence()
         met, agrees = orbit_meet_check(rc, syn)
         assert agrees, expr
         assert met == syn
@@ -480,7 +479,7 @@ def test_orbit_meet_equals_syntactic_on_fixtures():
 
 def test_orbit_of_ab_star_has_three_elements():
     rc = nerode_congruence(regex_to_min_dfa("(ab)*", "ab"))
-    assert len(orbit_of(rc)) == 3
+    assert words_normalization_operator(rc).index == 3
     top = top_congruence("ab")
     assert orbit_meet_check(top, top) == (top, True)
 
@@ -557,8 +556,11 @@ def test_orbit_size_and_monoid_table_on_random_dfas():
     for i in range(30):
         d = random_min_dfa(rng, 4, "ab" if i % 2 else "abc")
         rc = nerode_congruence(d)
-        assert len(orbit_of(rc)) == words_normalization_operator(rc).index
-        tm, syn = syntactic_congruence(d)
+        # the orbit {rc * w}: every state is reached by a word shorter than rc.index
+        orbit = {congruence_action(rc, w) for w in words_upto(d.alphabet, rc.index - 1)}
+        assert len(orbit) == words_normalization_operator(rc).index
+        tm = transition_monoid(d.alphabet, d.delta)
+        syn = tm.cayley_congruence()
         # the Cayley structure reads each witness back to its own element
         assert [syn.run(w) for w in tm.witnesses] == list(range(tm.order))
         table = tm.table()
@@ -575,7 +577,8 @@ def test_orbit_meet_scales_to_a_large_transition_monoid(monkeypatch):
     d = minimize(Dfa("ab", 6, 0, {0, 3}, delta))
     assert d.n == 6
     rc = nerode_congruence(d)
-    tm, syn = syntactic_congruence(d)
+    tm = transition_monoid(d.alphabet, d.delta)
+    syn = tm.cayley_congruence()
     products = _count_calls(monkeypatch, "_product_rows")
     meet, agrees = orbit_meet_check(rc, syn)
     assert agrees
@@ -820,7 +823,8 @@ def test_action_never_raises_index(seed):
 def test_orbit_meet_identity_on_random_dfas(seed):
     rng = random.Random(seed)
     d = random_min_dfa(rng, 5, "ab")
-    assert orbit_meet_check(nerode_congruence(d), syntactic_congruence(d)[1])[1]
+    syn = transition_monoid(d.alphabet, d.delta).cayley_congruence()
+    assert orbit_meet_check(nerode_congruence(d), syn)[1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -1111,3 +1115,13 @@ def test_exploration_cap_is_the_largest_allowed_size():
         with pytest.raises(BudgetExceeded) as err:
             run()
         assert (err.value.size, err.value.cap, err.value.what) == (size, size - 1, what)
+
+
+def test_monoid_cap_counts_cells_above_256_states():
+    # an element of a 512-state monoid holds 512 cells, so a cap of 1500
+    # admits 750 elements and one of 2046 admits 1023, this monoid's order
+    d = regex_to_min_dfa("(a|b)*a" + "(a|b)" * 8, "ab")
+    assert d.n == 512
+    assert transition_monoid(d.alphabet, d.delta, cap=2046).order == 1023
+    with pytest.raises(BudgetExceeded, match="transition monoid"):
+        transition_monoid(d.alphabet, d.delta, cap=1500)
