@@ -33,7 +33,7 @@ print("rc * a equals nerode of b(ab)*:",
 # the orbit {rc * w} has one member per class of isomorphic futures
 print("orbit size:", words_normalization_operator(rc).index)
 # d is minimal, so its transition monoid is the syntactic monoid
-tm = transition_monoid(d.alphabet, d.delta)
+tm = transition_monoid(d)
 syn = tm.cayley_congruence()
 meet, agrees = orbit_meet_check(rc, syn)
 print(f"orbit infimum has index {meet.index}; syntactic monoid has order "

@@ -112,7 +112,7 @@ def words_analysis(d, cap=None):
     # m is minimal: its states are the Nerode classes and its transition
     # monoid is the syntactic monoid, so neither is minimized again
     rc = _from_explored(m.alphabet, m.delta)
-    tm = transition_monoid(m.alphabet, m.delta, cap)
+    tm = transition_monoid(m, cap)
     syn = tm.cayley_congruence()
     _, agrees = orbit_meet_check(rc, syn)
     normalized = words_normalization_operator(rc)

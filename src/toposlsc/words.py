@@ -22,16 +22,16 @@ Only finite-index congruences are representable.  That is exactly the orbit-
 finite fragment in which regular languages live; non-regular languages have
 no representation here and are out of scope, not approximated.
 
-The pipeline regex -> NFA -> DFA -> minimal DFA is deliberately standard
-(Thompson, subset construction, Hopcroft), save that a subset holds only its
-states with a letter transition and the accepting one, and its successors are
-unions of closures computed once per transition.  The interesting operations
-sit on top of it: Nerode congruences, the congruence action and meets,
-syntactic monoids via transition monoids, orbit infima, and the normalization
-operator that groups states by the pointed-isomorphism class of their
-futures.  The word oracles stay off that pipeline: the residual oracle
-derives (Brzozowski) each derivative by each letter once and signs each
-derivative once, and the two-sided oracle walks bounded breadth-first layers.
+The pipeline regex -> position automaton -> DFA -> minimal DFA is
+deliberately standard (Glushkov, subset construction, Hopcroft); a position
+automaton has no ε-transitions, so no subset needs a closure.  The
+interesting operations sit on top of it: Nerode congruences, the congruence
+action and meets, syntactic monoids via transition monoids, orbit infima,
+and the normalization operator that groups states by the pointed-isomorphism
+class of their futures.  The word oracles stay off that pipeline: the
+residual oracle derives (Brzozowski) each derivative by each letter once and
+signs each derivative once, and the two-sided oracle walks bounded
+breadth-first layers.
 """
 
 import functools
@@ -585,20 +585,15 @@ def minimize(d):
 # regex -> minimal DFA
 # ---------------------------------------------------------------------------
 
-def _thompson(tree):
-    """Thompson construction: returns (eps, trans, start, accept).
-
-    Built bottom-up with an explicit stack, so a long concatenation or a deep
-    tree does not meet the interpreter's recursion limit."""
-    eps = []
-    trans = []
-
-    def new_state():
-        eps.append(set())
-        trans.append({})
-        return len(eps) - 1
-
-    built = []  # (start, accept) of each finished subtree, innermost last
+def _follow(tree):
+    """Glushkov's position automaton: returns (letters, follow, first).
+    Position p is the p-th `Sym` from the left and reads letters[p];
+    follow[p] holds the positions that may be read next, first those read
+    first, and the end marker -1 joins either where a word may end.  Built
+    bottom-up with explicit stacks, so a deep tree meets no recursion limit;
+    `built` holds sets per occurrence, as subtrees may share node objects."""
+    letters, follow = [], []
+    built = []  # (first, last) of each finished subtree, innermost last
     todo = [(tree, False)]
     while todo:
         node, ready = todo.pop()
@@ -606,74 +601,59 @@ def _thompson(tree):
             todo += [(node, True), (node.right, False), (node.left, False)]
         elif not ready and isinstance(node, Star):
             todo += [(node, True), (node.inner, False)]
-        elif isinstance(node, EmptyLang):
-            built.append((new_state(), new_state()))
-        elif isinstance(node, EmptyWord):
-            s, t = new_state(), new_state()
-            eps[s].add(t)
-            built.append((s, t))
+        elif isinstance(node, (EmptyLang, EmptyWord)):
+            built.append((set(), set()))
         elif isinstance(node, Sym):
-            s, t = new_state(), new_state()
-            trans[s].setdefault(node.ch, set()).add(t)
-            built.append((s, t))
+            built.append(({len(letters)}, {len(letters)}))
+            letters.append(node.ch)
+            follow.append(set())
         elif isinstance(node, Concat):
-            s2, t2 = built.pop()
-            s1, t1 = built.pop()
-            eps[t1].add(s2)
-            built.append((s1, t2))
+            first2, last2 = built.pop()
+            first1, last1 = built.pop()
+            for p in last1:
+                follow[p] |= first2
+            if node.left.nullable:
+                first1 |= first2
+            if node.right.nullable:
+                last2 |= last1
+            built.append((first1, last2))
         elif isinstance(node, Alt):
-            s2, t2 = built.pop()
-            s1, t1 = built.pop()
-            s, t = new_state(), new_state()
-            eps[s] |= {s1, s2}
-            eps[t1].add(t)
-            eps[t2].add(t)
-            built.append((s, t))
+            first2, last2 = built.pop()
+            built[-1][0].update(first2)
+            built[-1][1].update(last2)
         elif isinstance(node, Star):
-            s1, t1 = built.pop()
-            s, t = new_state(), new_state()
-            eps[s] |= {s1, t}
-            eps[t1] |= {s1, t}
-            built.append((s, t))
+            first, last = built[-1]
+            for p in last:
+                follow[p] |= first
         else:
             raise TypeError(f"not a regex node: {node!r}")
-    start, accept = built.pop()
-    return eps, trans, start, accept
-
-
-def _eps_closure(eps, states):
-    out = set(states)
-    stack = list(states)
-    while stack:
-        s = stack.pop()
-        for t in eps[s]:
-            if t not in out:
-                out.add(t)
-                stack.append(t)
-    return frozenset(out)
+    first, last = built.pop()
+    for p in last:
+        follow[p].add(-1)
+    if tree.nullable:
+        first.add(-1)
+    return letters, follow, first
 
 
 def regex_to_min_dfa(tree, alphabet, cap=None):
     """Compile to the minimal complete DFA (sink state included).
 
     Accepts a parse tree or a source string.  Subset construction over the
-    Thompson automaton, at most ``cap`` subsets, then Hopcroft minimization.
+    position automaton, at most ``cap`` subsets, then Hopcroft minimization.
     """
     symbols = _check_alphabet(alphabet)
     if isinstance(tree, str):
         tree = parse_regex(tree, symbols)
-    eps, trans, start, accept = _thompson(tree)
-    kept = {s for s, out in enumerate(trans) if out} | {accept}
-    steps = [{s: _eps_closure(eps, out[ch]) & kept for s, out in enumerate(trans) if ch in out}
+    letters, follow, first = _follow(tree)
+    steps = [{p: frozenset(follow[p]) for p, c in enumerate(letters) if c == ch}
              for ch in symbols]
 
     def successors(subset):
         return [frozenset().union(*map(step.get, subset, itertools.repeat(frozenset())))
                 for step in steps]
 
-    number, rows = _explore(_eps_closure(eps, {start}) & kept, successors,
-                            cap, "subset construction")
-    accepting = {i for i, subset in enumerate(number) if accept in subset}
+    number, rows = _explore(frozenset(first), successors, cap, "subset construction")
+    accepting = {i for i, subset in enumerate(number) if -1 in subset}
     return minimize(Dfa(symbols, len(rows), 0, accepting, rows))
 
 
@@ -793,16 +773,16 @@ class TransitionMonoid:
         return f"TransitionMonoid(order={self.order})"
 
 
-def transition_monoid(alphabet, delta_rows, cap=None):
-    """Close the letter transformations under composition, breadth-first in
-    shortlex order so the recorded witnesses are least.  Up to 256 states f
-    then a letter is f.translate(the letter's column padded to 256 bytes);
-    above that, tuples compose through itemgetters.  Each element holds one
-    cell per state, so ``cap`` bounds elements times max(states, 256) by
-    ``cap`` times 256: up to 256 states it caps the elements."""
-    symbols = _check_alphabet(alphabet)
-    letters = list(zip(*delta_rows))
-    states = range(len(delta_rows))
+def transition_monoid(x, cap=None):
+    """The transition monoid of x, a Dfa or a RightCongruence: its letter
+    transformations closed under composition, breadth-first in shortlex
+    order so the recorded witnesses are least.  Up to 256 states f then a
+    letter is f.translate(the letter's column padded to 256 bytes); above
+    that, tuples compose through itemgetters.  Each element holds one cell
+    per state, so ``cap`` bounds elements times max(states, 256) by ``cap``
+    times 256: up to 256 states it caps the elements."""
+    letters = list(zip(*x.delta))
+    states = range(x.n)
     if len(states) <= 256:
         tables = [bytes(a).ljust(256, b"\0") for a in letters]
         start, step = bytes(states), lambda f: map(f.translate, tables)
@@ -811,7 +791,7 @@ def transition_monoid(alphabet, delta_rows, cap=None):
         if cap is not None:  # never 0: new elements number from 1, so 0 would never fire
             cap = max(1, cap * 256 // len(states))
     number, rows = _explore(start, step, cap, "transition monoid")
-    return TransitionMonoid(symbols, number, rows)
+    return TransitionMonoid(x.alphabet, number, rows)
 
 
 def _two_sided(rows):

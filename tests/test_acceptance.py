@@ -155,7 +155,7 @@ def test_criterion_8_words_suite():
         if not (rc.index == d.n == residual_count_dfa(d)):
             ok = False
             break
-        syn = transition_monoid(d.alphabet, d.delta).cayley_congruence()
+        syn = transition_monoid(d).cayley_congruence()
         met, agrees = orbit_meet_check(rc, syn)
         if not agrees or met != syn:
             ok = False
@@ -164,8 +164,8 @@ def test_criterion_8_words_suite():
             ok = False
             break
     d_ab, d_enda = regex_to_min_dfa("(ab)*", "ab"), regex_to_min_dfa("(a|b)*a", "ab")
-    order_ab = transition_monoid(d_ab.alphabet, d_ab.delta).order
-    order_enda = transition_monoid(d_enda.alphabet, d_enda.delta).order
+    order_ab = transition_monoid(d_ab).order
+    order_enda = transition_monoid(d_enda).order
     ok = ok and order_ab == 6 and order_enda == 3
     elapsed = time.perf_counter() - started
     _verdict(8, f"Nerode/orbit-infimum/refinement identities on 20 random and "

@@ -38,7 +38,7 @@ def test_concurrent_orbit_meets_match_serial():
     dfas = [random_min_dfa(rng, 5, "ab") for _ in range(12)]
     dfas += [regex_to_min_dfa(ends_regex(3), "ab"), regex_to_min_dfa("a" * 20, "ab")]
     congruences = [nerode_congruence(d) for d in dfas]
-    syntactic = [transition_monoid(d.alphabet, d.delta).cayley_congruence() for d in dfas]
+    syntactic = [transition_monoid(d).cayley_congruence() for d in dfas]
     serial = [orbit_meet_check(rc, syn) for rc, syn in zip(congruences, syntactic)]
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(orbit_meet_check, congruences, syntactic))

@@ -22,7 +22,9 @@ from toposlsc.errors import InputFormatError, UnknownObject
 from toposlsc.fincat import DEFAULT_BUDGET, FiniteCategory
 from toposlsc.lsc import build_lsc
 from toposlsc.reports import lsc_report, render_machine, words_report
-from toposlsc.words import Dfa, regex_to_min_dfa
+from toposlsc.words import Alt, Concat, Dfa, EmptyLang, EmptyWord, Star, parse_regex, \
+    regex_to_min_dfa
+from tests.test_words import _regex_trees
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -666,14 +668,27 @@ def _file_text(draw, kind):
     return text[:draw(st.integers(0, len(text) - 1))] if how == "truncate" else text
 
 
+def _regex_source(node):
+    """Regex source with every binary node in parentheses: it parses back to
+    the same tree."""
+    if isinstance(node, Star):
+        return _regex_source(node.inner) + "*"
+    if isinstance(node, (Concat, Alt)):
+        middle = "|" if isinstance(node, Alt) else ""
+        return f"({_regex_source(node.left)}{middle}{_regex_source(node.right)})"
+    return {EmptyLang: "#0", EmptyWord: "#e"}.get(type(node)) or node.ch
+
+
 @st.composite
 def _argv(draw, folder):
+    """Returns (argv, well_formed): a well-formed command must exit 0."""
     def written(kind, name):
         path = folder / name
         path.write_text(draw(_file_text(kind)))
         return str(path)
 
-    command = draw(st.sampled_from(["lsc", "group", "dfa", "regex", "verify", "tokens"]))
+    command = draw(st.sampled_from(["lsc", "group", "dfa", "regex", "tree", "verify",
+                                    "tokens"]))
     if command == "lsc":
         argv = ["lsc", written("cat", "input.cat")]
     elif command == "group":
@@ -685,6 +700,12 @@ def _argv(draw, folder):
         argv = ["words", "--regex", draw(st.text("ab()|*#e0c", min_size=1, max_size=8))]
         argv += draw(st.sampled_from([[], ["--alphabet", "ab"], ["--alphabet", "abc"],
                                       ["--alphabet", "aa"], ["--alphabet", "a*"]]))
+    elif command == "tree":
+        alphabet = draw(st.sampled_from(["ab", "abc"]))
+        tree = draw(_regex_trees(alphabet))
+        source = _regex_source(tree)
+        assert parse_regex(source, alphabet) == tree
+        argv = ["words", "--regex", source, "--alphabet", alphabet]
     elif command == "verify":
         (folder / "fixtures").mkdir()
         written("cat", "fixtures/input.cat")
@@ -694,13 +715,13 @@ def _argv(draw, folder):
         argv = draw(st.lists(st.sampled_from(
             ["lsc", "group", "words", "--regex", "--dfa", "--alphabet", "--suite", "ab",
              "(ab)*", "a(", str(DATA / "z4.group"), "--frobnicate", "--help"]), max_size=5))
-    flags = draw(st.lists(st.sampled_from(
-        [["--format", "machine"], ["--format", "human"], ["--budget", "3"],
-         ["--budget", "5000"]] * 3
-        + [["--format", "xml"], ["--budget", "0"], ["--budget", "many"], ["--budget"]]),
-        max_size=2))
+    choices = [["--format", "machine"], ["--format", "human"], ["--budget", "5000"]]
+    if command != "tree":  # a generated regex keeps to flags that cannot fail
+        choices = (choices + [["--budget", "3"]]) * 3 + [
+            ["--format", "xml"], ["--budget", "0"], ["--budget", "many"], ["--budget"]]
+    flags = draw(st.lists(st.sampled_from(choices), max_size=2))
     flags = [token for flag in flags for token in flag]
-    return flags + argv if draw(st.booleans()) else argv + flags
+    return (flags + argv if draw(st.booleans()) else argv + flags), command == "tree"
 
 
 def _has_failed_verdict(out):
@@ -709,14 +730,14 @@ def _has_failed_verdict(out):
     return any(line.lstrip().startswith("FAIL ") for line in out.splitlines())
 
 
-@settings(max_examples=50, deadline=None,
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_cli_fuzz_keeps_the_exit_code_contract(monkeypatch, data):
     monkeypatch.delenv("TOPOS_LSC_BUDGET", raising=False)
     out, err = StringIO(), StringIO()
     with tempfile.TemporaryDirectory() as folder:
-        argv = data.draw(_argv(Path(folder)), label="argv")
+        argv, well_formed = data.draw(_argv(Path(folder)), label="argv")
         with redirect_stdout(out), redirect_stderr(err):
             try:
                 code = main(argv)
@@ -725,3 +746,4 @@ def test_cli_fuzz_keeps_the_exit_code_contract(monkeypatch, data):
     assert code in (0, 1, 2, 3, 4), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     assert (code == 1) == _has_failed_verdict(out.getvalue()), (argv, code)
+    assert code == 0 or not well_formed, (argv, code, err.getvalue())

@@ -190,7 +190,7 @@ def test_derivatives_derive_each_prefix_once(monkeypatch):
         return derive(term, ch)
 
     monkeypatch.setattr(words, "_derive", counting)
-    for pipeline in ("_thompson", "regex_to_min_dfa", "minimize", "_refine",
+    for pipeline in ("_follow", "regex_to_min_dfa", "minimize", "_refine",
                      "residual_count_dfa"):
         monkeypatch.setattr(words, pipeline, None)  # the oracle stays off them
     # the residual oracle derives each (derivative, letter) once
@@ -301,6 +301,8 @@ def test_dfa_validation():
         Dfa("ab", 2, 0, {3}, [[0, 1], [1, 0]])
     with pytest.raises(AlphabetMismatch):
         Dfa("aa", 1, 0, set(), [[0, 0]])
+    with pytest.raises(UnknownState):  # rows wider than the alphabet
+        RightCongruence("a", [[0, 1], [1, 0]])
 
 
 @pytest.mark.parametrize("rows", [[[0, -1]], [[0, 5]], [[0, 1], [1, 2]]])
@@ -396,7 +398,7 @@ def test_alphabet_mismatch():
 
 def test_syntactic_monoid_of_ab_star():
     d = regex_to_min_dfa("(ab)*", "ab")
-    tm = transition_monoid(d.alphabet, d.delta)
+    tm = transition_monoid(d)
     syn = tm.cayley_congruence()
     assert tm.order == 6
     assert tm.witnesses == ("", "a", "b", "aa", "ab", "ba")
@@ -413,13 +415,13 @@ def test_syntactic_monoid_of_ab_star():
 def test_syntactic_monoid_orders():
     for expr, order in (("(a|b)*a", 3), ("(a|b)*", 1), ("a*", 2)):
         d = regex_to_min_dfa(expr, "ab")
-        assert transition_monoid(d.alphabet, d.delta).order == order
+        assert transition_monoid(d).order == order
 
 
 def test_syntactic_congruence_agrees_with_two_sided_bruteforce():
     for expr in ("(ab)*", "(a|b)*a", "a*"):
         d = regex_to_min_dfa(expr, "ab")
-        syn = transition_monoid(d.alphabet, d.delta).cayley_congruence()
+        syn = transition_monoid(d).cayley_congruence()
         for u in words_upto(("a", "b"), 2):
             for v in words_upto(("a", "b"), 2):
                 assert syn.related(u, v) == \
@@ -444,7 +446,7 @@ def test_layered_two_sided_oracle_matches_word_enumeration():
     dfas += [random_min_dfa(rng, 6, "ab") for _ in range(20)]
     short = words_upto(("a", "b"), 2)
     for d in dfas:
-        syn = transition_monoid(d.alphabet, d.delta).cayley_congruence()
+        syn = transition_monoid(d).cayley_congruence()
         # n - 1 letters reach every state of a minimal DFA and tell any two
         # states apart, so past that the verdict no longer depends on the bound
         full = d.n * d.n if d.n <= 3 else d.n
@@ -461,7 +463,7 @@ def test_syntactic_refines_nerode():
     for expr in ("(ab)*", "(a|b)*a", "a*b*"):
         d = regex_to_min_dfa(expr, "ab")
         rc = nerode_congruence(d)
-        syn = transition_monoid(d.alphabet, d.delta).cayley_congruence()
+        syn = transition_monoid(d).cayley_congruence()
         assert congruence_leq(syn, rc), expr
 
 
@@ -471,7 +473,7 @@ def test_orbit_meet_equals_syntactic_on_fixtures():
     for expr in ("(ab)*", "(a|b)*a", "(a|b)*", "a*b*", "(a|b)*abb"):
         d = regex_to_min_dfa(expr, "ab")
         rc = nerode_congruence(d)
-        syn = transition_monoid(d.alphabet, d.delta).cayley_congruence()
+        syn = transition_monoid(d).cayley_congruence()
         met, agrees = orbit_meet_check(rc, syn)
         assert agrees, expr
         assert met == syn
@@ -559,7 +561,7 @@ def test_orbit_size_and_monoid_table_on_random_dfas():
         # the orbit {rc * w}: every state is reached by a word shorter than rc.index
         orbit = {congruence_action(rc, w) for w in words_upto(d.alphabet, rc.index - 1)}
         assert len(orbit) == words_normalization_operator(rc).index
-        tm = transition_monoid(d.alphabet, d.delta)
+        tm = transition_monoid(d)
         syn = tm.cayley_congruence()
         # the Cayley structure reads each witness back to its own element
         assert [syn.run(w) for w in tm.witnesses] == list(range(tm.order))
@@ -577,7 +579,7 @@ def test_orbit_meet_scales_to_a_large_transition_monoid(monkeypatch):
     d = minimize(Dfa("ab", 6, 0, {0, 3}, delta))
     assert d.n == 6
     rc = nerode_congruence(d)
-    tm = transition_monoid(d.alphabet, d.delta)
+    tm = transition_monoid(d)
     syn = tm.cayley_congruence()
     products = _count_calls(monkeypatch, "_product_rows")
     meet, agrees = orbit_meet_check(rc, syn)
@@ -823,7 +825,7 @@ def test_action_never_raises_index(seed):
 def test_orbit_meet_identity_on_random_dfas(seed):
     rng = random.Random(seed)
     d = random_min_dfa(rng, 5, "ab")
-    syn = transition_monoid(d.alphabet, d.delta).cayley_congruence()
+    syn = transition_monoid(d).cayley_congruence()
     assert orbit_meet_check(nerode_congruence(d), syn)[1]
 
 
@@ -835,7 +837,7 @@ def test_explored_rows_are_canonical_already(seed, alphabet):
     # neither the value nor its hash
     rng = random.Random(seed)
     d, e = (random_min_dfa(rng, 5, alphabet) for _ in range(2))
-    tm = transition_monoid(d.alphabet, d.delta)
+    tm = transition_monoid(d)
     q = rng.randrange(d.n)
     for rows in (d.delta, e.delta, tm.cayley_congruence().delta,
                  words._product_rows(d.delta, e.delta, (0, 0)),
@@ -1035,7 +1037,7 @@ def test_empty_alphabet():
 
 
 def test_transition_monoid_of_top_is_trivial():
-    tm = transition_monoid(("a", "b"), top_congruence("ab").delta)
+    tm = transition_monoid(top_congruence("ab"))
     assert tm.order == 1 and tm.witnesses == ("",)
 
 
@@ -1076,8 +1078,9 @@ def _dihedral(n):
 @example(_dihedral(257))
 def test_transition_monoid_matches_the_tuple_closure(delta):
     alphabet = "abc"[:len(delta[0])]
-    tm = transition_monoid(alphabet, delta)
-    assert (tm.elements, tm._rows, tm.witnesses) == _monoid_by_tuples(alphabet, delta)
+    rc = RightCongruence(alphabet, delta)
+    tm = transition_monoid(rc)
+    assert (tm.elements, tm._rows, tm.witnesses) == _monoid_by_tuples(alphabet, rc.delta)
     rng = random.Random(len(delta))
     for _ in range(200):
         i, j = rng.randrange(tm.order), rng.randrange(tm.order)
@@ -1090,7 +1093,7 @@ def test_exploration_rows_are_untracked_by_the_collector(n):
     # would stay tracked and lengthen every later full collection
     delta = _dihedral(n)
     rc = RightCongruence("ab", delta)
-    tm = transition_monoid("ab", delta)
+    tm = transition_monoid(rc)
     meet, agrees = orbit_meet_check(rc, tm.cayley_congruence())
     assert agrees and meet.index == tm.order == 2 * n
     explored = {
@@ -1104,14 +1107,29 @@ def test_exploration_rows_are_untracked_by_the_collector(n):
         assert not any(map(gc.is_tracked, rows)), name
 
 
+# (regex, alphabet, subsets explored, states of the minimal DFA): a subset
+# holds the positions that may be read next, so the last four explore more
+# subsets than the minimal DFA has states, and a construction that tracked
+# the positions already read would explore a different number
+SUBSET_COUNTS = [
+    ("(a|b)*a(a|b)", "ab", 4, 4),
+    ("(a|b)*(aa|bb)(a|b)*", "ab", 5, 4),
+    ("a(b|c)*|ab*", "abc", 4, 3),
+    ("(aa|a)*b", "ab", 4, 3),
+    ("(a|b)*ab(a|b)*", "ab", 4, 3),
+]
+
+
 def test_exploration_cap_is_the_largest_allowed_size():
-    # D_5 has 10 elements and (a|b)*a(a|b) 4 subsets
-    delta = _dihedral(5)
-    assert transition_monoid("ab", delta, cap=10).order == 10
-    assert regex_to_min_dfa("(a|b)*a(a|b)", "ab", cap=4).n == 4
-    for run, size, what in [
-            (lambda: transition_monoid("ab", delta, cap=9), 10, "transition monoid"),
-            (lambda: regex_to_min_dfa("(a|b)*a(a|b)", "ab", cap=3), 4, "subset construction")]:
+    # D_5 has 10 elements
+    rc = RightCongruence("ab", _dihedral(5))
+    assert transition_monoid(rc, cap=10).order == 10
+    cases = [(lambda: transition_monoid(rc, cap=9), 10, "transition monoid")]
+    for expr, alphabet, subsets, states in SUBSET_COUNTS:
+        assert regex_to_min_dfa(expr, alphabet, cap=subsets).n == states
+        cases.append((functools.partial(regex_to_min_dfa, expr, alphabet, cap=subsets - 1),
+                      subsets, "subset construction"))
+    for run, size, what in cases:
         with pytest.raises(BudgetExceeded) as err:
             run()
         assert (err.value.size, err.value.cap, err.value.what) == (size, size - 1, what)
@@ -1122,6 +1140,6 @@ def test_monoid_cap_counts_cells_above_256_states():
     # admits 750 elements and one of 2046 admits 1023, this monoid's order
     d = regex_to_min_dfa("(a|b)*a" + "(a|b)" * 8, "ab")
     assert d.n == 512
-    assert transition_monoid(d.alphabet, d.delta, cap=2046).order == 1023
+    assert transition_monoid(d, cap=2046).order == 1023
     with pytest.raises(BudgetExceeded, match="transition monoid"):
-        transition_monoid(d.alphabet, d.delta, cap=1500)
+        transition_monoid(d, cap=1500)
